@@ -39,26 +39,30 @@ int main(int argc, char** argv) {
                 "statistical backing for the Sec. 2.2 robustness claims");
 
   const auto spec = core::AdcSpec::paper_40nm();
-  // Build the design once; mismatch draws only perturb the behavioral
-  // model, so every MC run and every corner shares this object read-only.
-  const core::AdcDesign adc(spec);
-
-  core::MonteCarloOptions opts;
-  opts.runs = 16;
-  opts.sim.n_samples = 1 << 14;
+  // Mismatch draws only perturb the behavioral model, so every MC run and
+  // every corner of one request shares its design read-only.
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kMonteCarlo;
+  req.spec = spec;
+  req.monte_carlo.runs = 16;
+  req.monte_carlo.sim.n_samples = 1 << 14;
+  const auto run_mc = [&req](const core::ExecContext& ctx) {
+    return core::evaluate(req, ctx).monte_carlo;
+  };
 
   // Serial and parallel cold runs get separate fresh caches so both truly
   // compute every draw; the warm run reuses the parallel run's cache and
   // must be all hits.
   core::ArtifactCache cache_serial(64), cache_parallel(64);
+  core::ExecContext ctx;
 
-  opts.exec.threads = 1;  // serial reference
-  opts.exec.cache = &cache_serial;
-  const auto mc_serial = core::monte_carlo_sndr(adc, opts);
-  opts.exec.threads = 0;  // hardware concurrency
-  opts.exec.cache = &cache_parallel;
-  const auto mc = core::monte_carlo_sndr(adc, opts);
-  const auto mc_warm = core::monte_carlo_sndr(adc, opts);  // cache hot
+  ctx.threads = 1;  // serial reference
+  ctx.cache = &cache_serial;
+  const auto mc_serial = run_mc(ctx);
+  ctx.threads = 0;  // hardware concurrency
+  ctx.cache = &cache_parallel;
+  const auto mc = run_mc(ctx);
+  const auto mc_warm = run_mc(ctx);  // cache hot
 
   bool bit_identical = mc.sndr_db.size() == mc_serial.sndr_db.size();
   for (std::size_t i = 0; bit_identical && i < mc.sndr_db.size(); ++i) {
@@ -112,19 +116,19 @@ int main(int argc, char** argv) {
   std::uint64_t store_cold_builds = 0;
   bool persistent_identical = false;
   {
-    core::MonteCarloOptions popts = opts;
+    core::ExecContext pctx = ctx;
     core::ArtifactCache cache_a(64);
     core::ArtifactStore store_a(store_dir);
-    popts.exec.cache = &cache_a;
-    popts.exec.store = &store_a;
-    const auto mc_a = core::monte_carlo_sndr(adc, popts);
+    pctx.cache = &cache_a;
+    pctx.store = &store_a;
+    const auto mc_a = run_mc(pctx);
     wall_persist_cold = mc_a.batch.wall_s;
 
     core::ArtifactCache cache_b(64);
     core::ArtifactStore store_b(store_dir);
-    popts.exec.cache = &cache_b;
-    popts.exec.store = &store_b;
-    const auto mc_b = core::monte_carlo_sndr(adc, popts);
+    pctx.cache = &cache_b;
+    pctx.store = &store_b;
+    const auto mc_b = run_mc(pctx);
     wall_persist_warm = mc_b.batch.wall_s;
     store_cold_builds = store_b.stats().misses;
 
@@ -169,12 +173,6 @@ int main(int argc, char** argv) {
   double wall_engine_scalar = 0, wall_engine_batched = 0;
   std::string fp_scalar, fp_batched;
   {
-    core::EvalRequest req;
-    req.kind = core::EvalKind::kMonteCarlo;
-    req.spec = spec;
-    req.monte_carlo = opts;
-    req.monte_carlo.exec = core::ExecContext{};
-
     core::ArtifactCache cache_eng_scalar(64), cache_eng_batched(64);
     core::ExecContext ectx;
     ectx.threads = 1;
@@ -203,7 +201,11 @@ int main(int argc, char** argv) {
       batched_speedup, fp_batched.c_str(),
       fp_scalar == fp_batched ? "(matches scalar)" : "(MISMATCH)");
 
-  const auto corners = core::corner_sweep(adc, 1 << 14);
+  core::EvalRequest sweep;
+  sweep.kind = core::EvalKind::kCornerSweep;
+  sweep.spec = spec;
+  sweep.corners.n_samples = 1 << 14;
+  const auto corners = core::evaluate(sweep, core::ExecContext{}).corners;
   util::Table c("PVT corner sweep");
   c.set_header({"corner", "SNDR [dB]", "power [mW]"});
   for (const auto& cr : corners) {
@@ -284,7 +286,7 @@ int main(int argc, char** argv) {
       "\"batched_speedup\":%.3f,\"result_fp\":\"%s\","
       "\"batched_fp_match\":%s,"
       "\"corners_fp_match\":%s,\"amp_sweep_fp_match\":%s}",
-      opts.runs, mc.batch.threads, hw, mc_serial.batch.wall_s,
+      req.monte_carlo.runs, mc.batch.threads, hw, mc_serial.batch.wall_s,
       mc.batch.wall_s, speedup, mc.batch.utilization,
       mc.batch.max_queue_depth, bit_identical ? "true" : "false", mc.mean_db,
       mc.stddev_db, mc.yield(65.0), mc_warm.batch.wall_s, warm_speedup,

@@ -6,8 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/adc.h"
-#include "core/flow.h"
+#include "core/eval.h"
 #include "core/migration.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -17,7 +16,8 @@ int main() {
 
   // The source design: the 40 nm Table 3 part.
   const core::AdcSpec src_spec = core::AdcSpec::paper_40nm();
-  core::Flow flow;
+  const core::ExecContext ctx;
+  core::Flow flow(ctx);
   std::printf("source: %s\n\n", src_spec.describe().c_str());
 
   util::Table t("one design, four nodes");
@@ -27,7 +27,12 @@ int main() {
   for (double node : {180.0, 90.0, 65.0, 40.0}) {
     // 1. Netlist migration onto the target node's (cache-shared) library.
     const tech::TechNode tn = tech::TechDatabase::standard().at(node);
-    const core::MigratedDesign mig = flow.migrate(src_spec, node);
+    core::EvalRequest req;
+    req.kind = core::EvalKind::kMigrate;
+    req.spec = src_spec;
+    req.migrate_target_node_nm = node;
+    const core::EvalResponse resp = core::evaluate(req, ctx);
+    const core::MigratedDesign& mig = *resp.migrated;
 
     // 2. Layout re-synthesis on the migrated netlist.
     const auto layout = synth::synthesize(mig.result.design, {});

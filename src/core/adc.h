@@ -136,7 +136,6 @@ class AdcDesign {
   NodeReport full_report(const SimulationOptions& opts = {}) const;
 
   const AdcSpec& spec() const { return spec_; }
-  const ExecContext& exec() const { return ctx_; }
   const netlist::CellLibrary& library() const { return *lib_; }
   const netlist::Design& netlist() const { return *design_; }
 

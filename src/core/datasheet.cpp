@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/driver_impl.h"
-#include "core/eval.h"
 #include "core/flow.h"
 #include "util/strings.h"
 #include "util/trace.h"
@@ -122,15 +121,6 @@ Datasheet detail::datasheet_impl(const ExecContext& ctx, const AdcSpec& spec,
   }
   ds.complete = true;
   return ds;
-}
-
-Datasheet generate_datasheet(const AdcSpec& spec,
-                             const DatasheetOptions& opts) {
-  EvalRequest req;
-  req.kind = EvalKind::kDatasheet;
-  req.spec = spec;
-  req.datasheet = opts;
-  return std::move(evaluate(req, opts.exec).datasheet);
 }
 
 std::string Datasheet::render() const {

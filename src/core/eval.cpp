@@ -1,9 +1,12 @@
 #include "core/eval.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/driver_impl.h"
+#include "util/strings.h"
 
 namespace vcoadc::core {
 
@@ -146,52 +149,54 @@ EvalResponse evaluate(const EvalRequest& req, const ExecContext& ctx) {
 
 namespace {
 
-void spec_from_json(const json::Value& v, AdcSpec* spec) {
-  if (const json::Value* x = v.find("node")) {
-    spec->node_nm = x->number_or(spec->node_nm);
-  }
-  if (const json::Value* x = v.find("slices")) {
-    spec->num_slices = static_cast<int>(x->number_or(spec->num_slices));
-  }
-  if (const json::Value* x = v.find("fs")) {
-    spec->fs_hz = x->number_or(spec->fs_hz);
-  }
-  if (const json::Value* x = v.find("bw")) {
-    spec->bandwidth_hz = x->number_or(spec->bandwidth_hz);
-  }
-  if (const json::Value* x = v.find("loop_gain")) {
-    spec->loop_gain = x->number_or(spec->loop_gain);
-  }
-  if (const json::Value* x = v.find("dac_fragments")) {
-    spec->dac_fragments = static_cast<int>(x->number_or(spec->dac_fragments));
-  }
-  if (const json::Value* x = v.find("vco_center_over_fs")) {
-    spec->vco_center_over_fs = x->number_or(spec->vco_center_over_fs);
-  }
-  if (const json::Value* x = v.find("with_nonidealities")) {
-    spec->with_nonidealities = x->bool_or(spec->with_nonidealities);
-  }
-  if (const json::Value* x = v.find("seed")) {
-    spec->seed = static_cast<std::uint64_t>(
-        x->number_or(static_cast<double>(spec->seed)));
-  }
-  if (const json::Value* pvt = v.find("pvt"); pvt != nullptr) {
-    if (const json::Value* x = pvt->find("process")) {
-      spec->pvt.process = x->number_or(spec->pvt.process);
-    }
-    if (const json::Value* x = pvt->find("voltage")) {
-      spec->pvt.voltage = x->number_or(spec->pvt.voltage);
-    }
-    if (const json::Value* x = pvt->find("temperature_k")) {
-      spec->pvt.temperature_k = x->number_or(spec->pvt.temperature_k);
-    }
-  }
-}
-
 double opt_number(const json::Value* obj, const char* key, double fallback) {
   if (obj == nullptr) return fallback;
   const json::Value* x = obj->find(key);
   return x != nullptr ? x->number_or(fallback) : fallback;
+}
+
+/// Reads the integer key `key` of `obj` into *out. Every integer key of the
+/// protocol is a count, a lane width or a seed, so the number must be a
+/// non-negative integer that fits T. Anything else (negative, fractional,
+/// non-finite, too large) is refused with an error naming the key instead
+/// of being cast: a double-to-integer cast out of range is undefined
+/// behaviour. An absent key or a non-number keeps *out, as opt_number does.
+template <typename T>
+bool opt_count(const json::Value* obj, const char* key, T* out,
+               std::string* error) {
+  const json::Value* x = obj != nullptr ? obj->find(key) : nullptr;
+  if (x == nullptr || !x->is_number()) return true;
+  // 2^digits is the first integer T cannot hold; it is exact in a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double d = x->number;
+  if (!(d >= 0 && d < limit && d == std::floor(d))) {  // NaN fails too
+    *error = util::format("\"%s\" must be an integer in [0, 2^%d), got %g",
+                          key, std::numeric_limits<T>::digits, d);
+    return false;
+  }
+  *out = static_cast<T>(d);
+  return true;
+}
+
+bool spec_from_json(const json::Value& v, AdcSpec* spec, std::string* error) {
+  spec->node_nm = opt_number(&v, "node", spec->node_nm);
+  spec->fs_hz = opt_number(&v, "fs", spec->fs_hz);
+  spec->bandwidth_hz = opt_number(&v, "bw", spec->bandwidth_hz);
+  spec->loop_gain = opt_number(&v, "loop_gain", spec->loop_gain);
+  spec->vco_center_over_fs =
+      opt_number(&v, "vco_center_over_fs", spec->vco_center_over_fs);
+  if (const json::Value* x = v.find("with_nonidealities")) {
+    spec->with_nonidealities = x->bool_or(spec->with_nonidealities);
+  }
+  if (const json::Value* pvt = v.find("pvt")) {
+    spec->pvt.process = opt_number(pvt, "process", spec->pvt.process);
+    spec->pvt.voltage = opt_number(pvt, "voltage", spec->pvt.voltage);
+    spec->pvt.temperature_k =
+        opt_number(pvt, "temperature_k", spec->pvt.temperature_k);
+  }
+  return opt_count(&v, "slices", &spec->num_slices, error) &&
+         opt_count(&v, "dac_fragments", &spec->dac_fragments, error) &&
+         opt_count(&v, "seed", &spec->seed, error);
 }
 
 json::Value spec_to_json(const AdcSpec& spec) {
@@ -252,58 +257,48 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
       *error = "\"spec\" must be an object";
       return false;
     }
-    spec_from_json(*spec, &req.spec);
+    if (!spec_from_json(*spec, &req.spec, error)) return false;
   }
   const json::Value* o = v.find("options");
   if (o != nullptr && !o->is_object()) {
     *error = "\"options\" must be an object";
     return false;
   }
+  bool ok = true;
   switch (req.kind) {
     case EvalKind::kDatasheet:
-      req.datasheet.n_samples = static_cast<std::size_t>(opt_number(
-          o, "n_samples", static_cast<double>(req.datasheet.n_samples)));
-      req.datasheet.mc_runs =
-          static_cast<int>(opt_number(o, "mc_runs", req.datasheet.mc_runs));
-      req.datasheet.amp_sweep_points = static_cast<int>(opt_number(
-          o, "amp_sweep_points", req.datasheet.amp_sweep_points));
-      req.datasheet.batch_width = static_cast<int>(
-          opt_number(o, "batch_width", req.datasheet.batch_width));
+      ok = opt_count(o, "n_samples", &req.datasheet.n_samples, error) &&
+           opt_count(o, "mc_runs", &req.datasheet.mc_runs, error) &&
+           opt_count(o, "amp_sweep_points", &req.datasheet.amp_sweep_points,
+                     error) &&
+           opt_count(o, "batch_width", &req.datasheet.batch_width, error);
       break;
     case EvalKind::kMonteCarlo:
-      req.monte_carlo.runs =
-          static_cast<int>(opt_number(o, "runs", req.monte_carlo.runs));
-      req.monte_carlo.sim.n_samples = static_cast<std::size_t>(
-          opt_number(o, "n_samples",
-                     static_cast<double>(req.monte_carlo.sim.n_samples)));
       req.monte_carlo.sim.fin_target_hz = opt_number(
           o, "fin", req.monte_carlo.sim.fin_target_hz);
       req.monte_carlo.sim.amplitude_dbfs = opt_number(
           o, "amplitude_dbfs", req.monte_carlo.sim.amplitude_dbfs);
-      req.monte_carlo.seed0 = static_cast<std::uint64_t>(opt_number(
-          o, "seed0", static_cast<double>(req.monte_carlo.seed0)));
-      req.monte_carlo.batch_width = static_cast<int>(
-          opt_number(o, "batch_width", req.monte_carlo.batch_width));
+      ok = opt_count(o, "runs", &req.monte_carlo.runs, error) &&
+           opt_count(o, "n_samples", &req.monte_carlo.sim.n_samples, error) &&
+           opt_count(o, "seed0", &req.monte_carlo.seed0, error) &&
+           opt_count(o, "batch_width", &req.monte_carlo.batch_width, error);
       break;
     case EvalKind::kCornerSweep:
-      req.corners.n_samples = static_cast<std::size_t>(opt_number(
-          o, "n_samples", static_cast<double>(req.corners.n_samples)));
-      req.corners.batch_width = static_cast<int>(
-          opt_number(o, "batch_width", req.corners.batch_width));
+      ok = opt_count(o, "n_samples", &req.corners.n_samples, error) &&
+           opt_count(o, "batch_width", &req.corners.batch_width, error);
       break;
     case EvalKind::kSynthesize:
       req.synthesis.target_utilization = opt_number(
           o, "target_utilization", req.synthesis.target_utilization);
       req.synthesis.aspect_ratio =
           opt_number(o, "aspect_ratio", req.synthesis.aspect_ratio);
-      req.synthesis.seed = static_cast<std::uint64_t>(opt_number(
-          o, "seed", static_cast<double>(req.synthesis.seed)));
       if (o != nullptr) {
         if (const json::Value* x = o->find("detailed_route")) {
           req.synthesis.detailed_route =
               x->bool_or(req.synthesis.detailed_route);
         }
       }
+      ok = opt_count(o, "seed", &req.synthesis.seed, error);
       break;
     case EvalKind::kMigrate:
       req.migrate_target_node_nm =
@@ -318,10 +313,8 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
           opt_number(o, "bandwidth_hz", req.optimize_target.bandwidth_hz);
       req.optimize_target.margin_db =
           opt_number(o, "margin_db", req.optimize_target.margin_db);
-      req.optimize.n_samples = static_cast<std::size_t>(opt_number(
-          o, "n_samples", static_cast<double>(req.optimize.n_samples)));
-      req.optimize.seed = static_cast<std::uint64_t>(
-          opt_number(o, "seed", static_cast<double>(req.optimize.seed)));
+      ok = opt_count(o, "n_samples", &req.optimize.n_samples, error) &&
+           opt_count(o, "seed", &req.optimize.seed, error);
       break;
     case EvalKind::kHdlEmit:
       break;  // the stage has no options: the spec is the whole input
@@ -330,8 +323,9 @@ bool eval_request_from_json(const json::Value& v, EvalRequest* out,
   }
   // Gate-sim options apply both to the kGateSim kind and to any request
   // running under the gate-level backend, so they parse unconditionally.
-  req.gate_sim.sim.n_samples = static_cast<std::size_t>(opt_number(
-      o, "n_samples", static_cast<double>(req.gate_sim.sim.n_samples)));
+  if (!ok || !opt_count(o, "n_samples", &req.gate_sim.sim.n_samples, error)) {
+    return false;
+  }
   req.gate_sim.ring_period_tol =
       opt_number(o, "ring_period_tol", req.gate_sim.ring_period_tol);
   if (o != nullptr) {

@@ -1,20 +1,16 @@
-// The unified evaluation service: one request/response entry point over
-// every flow driver.
+// The unified evaluation service: the one request/response entry point
+// over every flow driver (datasheet, Monte Carlo, corner sweep, synthesis,
+// migration, spec optimization, HDL emission, gate-level simulation).
 //
-// Each driver (datasheet, Monte Carlo, corner sweep, synthesis, migration,
-// spec optimization) used to be its own free function with its own
-// (spec|design, options) signature. They still exist — as thin wrappers —
-// but all of them now funnel through core::evaluate(EvalRequest,
-// ExecContext): one place that owns the shared semantics (validation
-// order, diagnostic routing, cache/store use, ok-ness), and the seam the
-// CLI's server mode speaks NDJSON through.
-//
-// EvalRequest is a tagged union over the driver request kinds, embedding
-// the existing per-driver options structs unchanged; `kind` selects which
-// members are read. The ExecContext passed to evaluate() is authoritative
-// for execution knobs — any ExecContext embedded in an options struct
-// (e.g. MonteCarloOptions::exec) is ignored by evaluate(), so a server can
-// run every request on one shared warm context.
+// core::evaluate(EvalRequest, ExecContext) owns the shared semantics
+// (validation order, diagnostic routing, cache/store use, ok-ness) and is
+// the seam the CLI's server mode speaks NDJSON through. EvalRequest is a
+// tagged union over the driver request kinds, embedding the per-driver
+// options structs; `kind` selects which members are read. Options structs
+// carry only what changes results; every execution knob (threads, cache,
+// store, trace, diagnostics sink, fault plan) lives in the one ExecContext
+// passed to evaluate(), so a server can run every request on one shared
+// warm context.
 //
 // Diagnostics: evaluate() collects every stage diagnostic of the request
 // into EvalResponse::diagnostics (for the structured response), then
@@ -55,8 +51,6 @@ const char* eval_kind_name(EvalKind kind);
 /// Inverse of eval_kind_name; false when `name` matches no kind.
 bool eval_kind_from_name(std::string_view name, EvalKind* out);
 
-/// Corner sweeps had no options struct before the unified API; this one
-/// exists so every request kind is (spec, options)-shaped.
 struct CornerSweepOptions {
   std::size_t n_samples = 1 << 13;
   /// SIMD lane width for the batched transient engine, the
@@ -97,7 +91,7 @@ struct EvalRequest {
 /// The matching response. Exactly the member selected by `kind` is
 /// populated; `ok` means the driver ran to completion on valid input
 /// (datasheet complete, design built, layout produced, target library
-/// resolved — the same conditions the legacy drivers signalled ad hoc).
+/// resolved).
 struct EvalResponse {
   EvalKind kind = EvalKind::kDatasheet;
   std::string id;
@@ -124,7 +118,10 @@ EvalResponse evaluate(const EvalRequest& req, const ExecContext& ctx);
 /// Parses a request object: {"cmd": <kind name>, "id": ..., "spec":
 /// {node,slices,fs,bw,...}, "options": {...}}. Unknown keys are ignored
 /// (forward compatibility); a missing/unknown "cmd" or a non-object is an
-/// error. False on error with a human-readable reason in `*error`.
+/// error, and so is an integer key (a count, lane width or seed) whose
+/// number is negative, fractional, non-finite or too large for its field.
+/// False on error with a human-readable reason, naming the key, in
+/// `*error`.
 bool eval_request_from_json(const util::json::Value& v, EvalRequest* out,
                             std::string* error);
 

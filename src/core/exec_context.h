@@ -1,8 +1,7 @@
-// ExecContext: the one execution-environment knob bundle threaded through
-// every flow driver (Monte Carlo, corner sweeps, datasheets, synthesis,
-// the optimizer, core::evaluate, benches and the CLI). It is the single
-// source of truth for execution knobs — the per-driver thread forwarders
-// that once shadowed `threads` are gone.
+// ExecContext: the one execution-environment knob bundle, passed to
+// core::evaluate (and to Flow / AdcDesign for single stages) and threaded
+// through every driver body, benches and the CLI. It is the only place
+// execution knobs are set: no options struct carries a copy.
 //
 // None of these fields participate in artifact cache keys: thread count,
 // trace sink, cache and store pointers must never change result bytes

@@ -7,7 +7,6 @@
 #include "core/artifact_serde.h"
 #include "core/artifact_store.h"
 #include "core/driver_impl.h"
-#include "core/eval.h"
 #include "core/serde.h"
 #include "core/backend.h"
 #include "msim/batched_modulator.h"
@@ -1078,17 +1077,6 @@ MigratedDesign detail::migrate_impl(const ExecContext& ctx,
   span.note(std::to_string(result.exact_matches) + " exact, " +
             std::to_string(result.nearest_matches) + " nearest");
   return MigratedDesign{std::move(target_lib), std::move(result)};
-}
-
-MigratedDesign Flow::migrate(const AdcSpec& src_spec, double target_node_nm) {
-  EvalRequest req;
-  req.kind = EvalKind::kMigrate;
-  req.spec = src_spec;
-  req.migrate_target_node_nm = target_node_nm;
-  EvalResponse resp = evaluate(req, ctx_);
-  if (resp.migrated != nullptr) return *resp.migrated;
-  MigrationResult empty{netlist::Design(nullptr), {}, 0, 0, {}};
-  return MigratedDesign{nullptr, std::move(empty)};
 }
 
 }  // namespace vcoadc::core

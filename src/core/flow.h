@@ -114,8 +114,9 @@ struct DesignBundle {
   std::shared_ptr<const netlist::Design> design;
 };
 
-/// Result of Flow::migrate: the migrated design plus the target library it
-/// references (cache-shared; keep it alive as long as the design).
+/// Result of a migrate request (EvalKind::kMigrate): the migrated design
+/// plus the target library it references (cache-shared; keep it alive as
+/// long as the design).
 struct MigratedDesign {
   std::shared_ptr<const netlist::CellLibrary> target_lib;
   MigrationResult result;
@@ -223,9 +224,6 @@ class Flow {
   /// SimRun artifacts.
   NodeReport report(const AdcSpec& spec, const SimulationOptions& sim = {},
                     const synth::SynthesisOptions& synth_opts = {});
-
-  /// Migrates the spec's netlist onto another node's (cached) library.
-  MigratedDesign migrate(const AdcSpec& src_spec, double target_node_nm);
 
  private:
   /// Applies ExecContext knobs (route threads, trace) to synthesis options

@@ -4,7 +4,11 @@
 // in a given process"), automated: given a target SNDR in a target
 // bandwidth at a node, search the (slices, fs, loop gain) space for the
 // minimum-power spec that meets it, honoring AdcSpec::validate()'s
-// realizability rules.
+// realizability rules. Run it as core::evaluate with EvalKind::kOptimize:
+// the search is exhaustive over the candidate grid with early pruning
+// (candidates ordered by a power prior slices * fs, skipped once a cheaper
+// design already met the target), and every candidate evaluation is a
+// cached SimRun stage, so a re-search over an overlapping grid reuses it.
 #pragma once
 
 #include <optional>
@@ -30,10 +34,6 @@ struct OptimizeOptions {
   std::vector<double> osr_choices{32, 50, 75, 100, 150};
   std::size_t n_samples = 1 << 13;
   std::uint64_t seed = 1;
-  /// Execution environment; every candidate evaluation runs as a SimRun
-  /// stage of the flow graph, so a re-search over an overlapping grid
-  /// reuses cached evaluations.
-  ExecContext exec;
 };
 
 struct CandidateResult {
@@ -50,12 +50,5 @@ struct OptimizeResult {
   double best_sndr_db = 0;
   std::vector<CandidateResult> evaluated;  ///< full search trace
 };
-
-/// Exhaustive search over the candidate grid with early pruning: candidates
-/// are ordered by a power prior (slices * fs) and a candidate is skipped
-/// once a cheaper design already met the target. Thin shim over
-/// core::evaluate(EvalKind::kOptimize).
-OptimizeResult optimize_spec(const OptimizeTarget& target,
-                             const OptimizeOptions& opts = {});
 
 }  // namespace vcoadc::core

@@ -1,15 +1,23 @@
 #include <gtest/gtest.h>
 
-#include "core/datasheet.h"
+#include "core/eval.h"
 
 namespace vcoadc::core {
 namespace {
+
+Datasheet run_datasheet(const AdcSpec& spec, const DatasheetOptions& opts) {
+  EvalRequest req;
+  req.kind = EvalKind::kDatasheet;
+  req.spec = spec;
+  req.datasheet = opts;
+  return evaluate(req, ExecContext{}).datasheet;
+}
 
 TEST(Datasheet, FullFlowProducesConsistentNumbers) {
   DatasheetOptions opts;
   opts.n_samples = 1 << 13;
   opts.mc_runs = 0;
-  const Datasheet ds = generate_datasheet(AdcSpec::paper_40nm(), opts);
+  const Datasheet ds = run_datasheet(AdcSpec::paper_40nm(), opts);
   EXPECT_GT(ds.nominal.sndr.sndr_db, 60.0);
   EXPECT_GT(ds.area_mm2, 1e-3);
   EXPECT_TRUE(ds.drc.clean());
@@ -25,7 +33,7 @@ TEST(Datasheet, RenderContainsEverySection) {
   DatasheetOptions opts;
   opts.n_samples = 1 << 12;
   opts.mc_runs = 2;
-  const Datasheet ds = generate_datasheet(AdcSpec::paper_40nm(), opts);
+  const Datasheet ds = run_datasheet(AdcSpec::paper_40nm(), opts);
   const std::string text = ds.render();
   for (const char* needle :
        {"dynamic performance", "SNDR", "ENOB", "Walden FOM", "die area",
@@ -38,7 +46,7 @@ TEST(Datasheet, MonteCarloSectionOptional) {
   DatasheetOptions opts;
   opts.n_samples = 1 << 12;
   opts.mc_runs = 0;
-  const Datasheet ds = generate_datasheet(AdcSpec::paper_40nm(), opts);
+  const Datasheet ds = run_datasheet(AdcSpec::paper_40nm(), opts);
   EXPECT_EQ(ds.render().find("SNDR (MC"), std::string::npos);
 }
 

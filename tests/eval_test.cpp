@@ -1,13 +1,15 @@
 // core::evaluate(): the unified request/response driver entry point. The
-// contract under test: the legacy drivers (monte_carlo_sndr, corner_sweep,
-// generate_datasheet, ...) are thin shims over evaluate() and agree with
-// it exactly; diagnostics are request-local (collected into the response,
-// not leaked between requests); and the JSON bridging parses the serve
-// protocol's vocabulary and fingerprints results stably.
+// contract under test: diagnostics are request-local (collected into the
+// response, not leaked between requests); the JSON bridge parses the serve
+// protocol's vocabulary, lands every key in its EvalRequest field and
+// refuses integer keys it cannot convert exactly; and results fingerprint
+// stably.
 #include "core/eval.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "core/artifact_cache.h"
@@ -126,6 +128,218 @@ TEST(EvalRequestJsonTest, ParsesBackendAndGateSimOptions) {
   EXPECT_NE(err.find("backend"), std::string::npos);
 }
 
+// --- Every key the JSON bridge reads lands in its EvalRequest field -------
+
+using Req = core::EvalRequest;
+
+/// One key of the serve vocabulary: a request setting it to a non-default
+/// value, and a check that the value reached the matching field.
+struct KeyCase {
+  const char* name;
+  const char* request;
+  bool (*lands)(const Req&);
+};
+
+const KeyCase kKeyCases[] = {
+    {"id", R"({"cmd":"hdl_emit","id":"abc"})",
+     [](const Req& r) { return r.id == "abc"; }},
+    {"backend", R"({"cmd":"hdl_emit","backend":"gate_level"})",
+     [](const Req& r) { return r.backend == core::SimBackend::kGateLevel; }},
+    // Spec keys (read for every kind).
+    {"spec_node", R"({"cmd":"hdl_emit","spec":{"node":65}})",
+     [](const Req& r) { return r.spec.node_nm == 65; }},
+    {"spec_slices", R"({"cmd":"hdl_emit","spec":{"slices":12}})",
+     [](const Req& r) { return r.spec.num_slices == 12; }},
+    {"spec_fs", R"({"cmd":"hdl_emit","spec":{"fs":5e8}})",
+     [](const Req& r) { return r.spec.fs_hz == 5e8; }},
+    {"spec_bw", R"({"cmd":"hdl_emit","spec":{"bw":3e6}})",
+     [](const Req& r) { return r.spec.bandwidth_hz == 3e6; }},
+    {"spec_loop_gain", R"({"cmd":"hdl_emit","spec":{"loop_gain":0.5}})",
+     [](const Req& r) { return r.spec.loop_gain == 0.5; }},
+    {"spec_dac_fragments", R"({"cmd":"hdl_emit","spec":{"dac_fragments":3}})",
+     [](const Req& r) { return r.spec.dac_fragments == 3; }},
+    {"spec_vco_center_over_fs",
+     R"({"cmd":"hdl_emit","spec":{"vco_center_over_fs":3.1}})",
+     [](const Req& r) { return r.spec.vco_center_over_fs == 3.1; }},
+    {"spec_with_nonidealities",
+     R"({"cmd":"hdl_emit","spec":{"with_nonidealities":false}})",
+     [](const Req& r) { return !r.spec.with_nonidealities; }},
+    {"spec_seed", R"({"cmd":"hdl_emit","spec":{"seed":2199023255552}})",
+     [](const Req& r) { return r.spec.seed == (std::uint64_t{1} << 41); }},
+    {"spec_pvt_process", R"({"cmd":"hdl_emit","spec":{"pvt":{"process":1.2}}})",
+     [](const Req& r) { return r.spec.pvt.process == 1.2; }},
+    {"spec_pvt_voltage", R"({"cmd":"hdl_emit","spec":{"pvt":{"voltage":0.9}}})",
+     [](const Req& r) { return r.spec.pvt.voltage == 0.9; }},
+    {"spec_pvt_temperature_k",
+     R"({"cmd":"hdl_emit","spec":{"pvt":{"temperature_k":350}}})",
+     [](const Req& r) { return r.spec.pvt.temperature_k == 350; }},
+    // datasheet
+    {"datasheet_n_samples",
+     R"({"cmd":"datasheet","options":{"n_samples":4096}})",
+     [](const Req& r) { return r.datasheet.n_samples == 4096; }},
+    {"datasheet_mc_runs", R"({"cmd":"datasheet","options":{"mc_runs":3}})",
+     [](const Req& r) { return r.datasheet.mc_runs == 3; }},
+    {"datasheet_amp_sweep_points",
+     R"({"cmd":"datasheet","options":{"amp_sweep_points":4}})",
+     [](const Req& r) { return r.datasheet.amp_sweep_points == 4; }},
+    {"datasheet_batch_width",
+     R"({"cmd":"datasheet","options":{"batch_width":2}})",
+     [](const Req& r) { return r.datasheet.batch_width == 2; }},
+    // monte_carlo
+    {"monte_carlo_runs", R"({"cmd":"monte_carlo","options":{"runs":3}})",
+     [](const Req& r) { return r.monte_carlo.runs == 3; }},
+    {"monte_carlo_n_samples",
+     R"({"cmd":"monte_carlo","options":{"n_samples":2048}})",
+     [](const Req& r) { return r.monte_carlo.sim.n_samples == 2048; }},
+    {"monte_carlo_fin", R"({"cmd":"monte_carlo","options":{"fin":2e5}})",
+     [](const Req& r) { return r.monte_carlo.sim.fin_target_hz == 2e5; }},
+    {"monte_carlo_amplitude_dbfs",
+     R"({"cmd":"monte_carlo","options":{"amplitude_dbfs":-9}})",
+     [](const Req& r) { return r.monte_carlo.sim.amplitude_dbfs == -9; }},
+    {"monte_carlo_seed0", R"({"cmd":"monte_carlo","options":{"seed0":77}})",
+     [](const Req& r) { return r.monte_carlo.seed0 == 77; }},
+    {"monte_carlo_batch_width",
+     R"({"cmd":"monte_carlo","options":{"batch_width":4}})",
+     [](const Req& r) { return r.monte_carlo.batch_width == 4; }},
+    // corner_sweep
+    {"corner_sweep_n_samples",
+     R"({"cmd":"corner_sweep","options":{"n_samples":2048}})",
+     [](const Req& r) { return r.corners.n_samples == 2048; }},
+    {"corner_sweep_batch_width",
+     R"({"cmd":"corner_sweep","options":{"batch_width":1}})",
+     [](const Req& r) { return r.corners.batch_width == 1; }},
+    // synthesize
+    {"synthesize_target_utilization",
+     R"({"cmd":"synthesize","options":{"target_utilization":0.5}})",
+     [](const Req& r) { return r.synthesis.target_utilization == 0.5; }},
+    {"synthesize_aspect_ratio",
+     R"({"cmd":"synthesize","options":{"aspect_ratio":2}})",
+     [](const Req& r) { return r.synthesis.aspect_ratio == 2; }},
+    {"synthesize_seed", R"({"cmd":"synthesize","options":{"seed":99}})",
+     [](const Req& r) { return r.synthesis.seed == 99; }},
+    {"synthesize_detailed_route",
+     R"({"cmd":"synthesize","options":{"detailed_route":false}})",
+     [](const Req& r) { return !r.synthesis.detailed_route; }},
+    // migrate
+    {"migrate_target_node", R"({"cmd":"migrate","options":{"target_node":90}})",
+     [](const Req& r) { return r.migrate_target_node_nm == 90; }},
+    // optimize
+    {"optimize_node", R"({"cmd":"optimize","options":{"node":65}})",
+     [](const Req& r) { return r.optimize_target.node_nm == 65; }},
+    {"optimize_min_sndr_db",
+     R"({"cmd":"optimize","options":{"min_sndr_db":70}})",
+     [](const Req& r) { return r.optimize_target.min_sndr_db == 70; }},
+    {"optimize_bandwidth_hz",
+     R"({"cmd":"optimize","options":{"bandwidth_hz":1e6}})",
+     [](const Req& r) { return r.optimize_target.bandwidth_hz == 1e6; }},
+    {"optimize_margin_db", R"({"cmd":"optimize","options":{"margin_db":2}})",
+     [](const Req& r) { return r.optimize_target.margin_db == 2; }},
+    {"optimize_n_samples", R"({"cmd":"optimize","options":{"n_samples":2048}})",
+     [](const Req& r) { return r.optimize.n_samples == 2048; }},
+    {"optimize_seed", R"({"cmd":"optimize","options":{"seed":5}})",
+     [](const Req& r) { return r.optimize.seed == 5; }},
+    // gate_sim options (parsed for every kind)
+    {"gate_sim_n_samples", R"({"cmd":"gate_sim","options":{"n_samples":256}})",
+     [](const Req& r) { return r.gate_sim.sim.n_samples == 256; }},
+    {"gate_sim_ring_period_tol",
+     R"({"cmd":"gate_sim","options":{"ring_period_tol":0.5}})",
+     [](const Req& r) { return r.gate_sim.ring_period_tol == 0.5; }},
+    {"gate_sim_top", R"({"cmd":"gate_sim","options":{"top":"ADC_slice"}})",
+     [](const Req& r) { return r.gate_sim.top == "ADC_slice"; }},
+};
+
+// Prints the case name: test discovery names each case by its printed
+// value, so the name stays stable across runs.
+void PrintTo(const KeyCase& c, std::ostream* os) { *os << c.name; }
+
+class EvalRequestJsonKeyTest : public ::testing::TestWithParam<KeyCase> {};
+
+TEST_P(EvalRequestJsonKeyTest, NonDefaultValueLandsInItsField) {
+  const KeyCase& c = GetParam();
+  ASSERT_FALSE(c.lands(Req{})) << "the case must set a non-default value";
+  json::ParseResult pr = json::parse(c.request);
+  ASSERT_TRUE(pr.ok) << pr.error;
+  Req req;
+  std::string err;
+  ASSERT_TRUE(core::eval_request_from_json(pr.value, &req, &err)) << err;
+  EXPECT_TRUE(c.lands(req)) << c.request;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKey, EvalRequestJsonKeyTest, ::testing::ValuesIn(kKeyCases));
+
+// --- Integer keys convert exactly or are refused ---------------------------
+
+/// An integer key set to a number no field of its type can hold exactly.
+struct BadIntCase {
+  const char* name;
+  const char* request;
+  const char* key;
+};
+
+const BadIntCase kBadIntCases[] = {
+    {"n_samples_negative",
+     R"({"cmd":"monte_carlo","options":{"n_samples":-1}})", "n_samples"},
+    {"n_samples_fraction",
+     R"({"cmd":"monte_carlo","options":{"n_samples":2.5}})", "n_samples"},
+    {"n_samples_huge", R"({"cmd":"monte_carlo","options":{"n_samples":1e30}})",
+     "n_samples"},
+    {"runs_negative", R"({"cmd":"monte_carlo","options":{"runs":-1}})", "runs"},
+    {"runs_fraction", R"({"cmd":"monte_carlo","options":{"runs":2.5}})",
+     "runs"},
+    {"runs_huge", R"({"cmd":"monte_carlo","options":{"runs":1e30}})", "runs"},
+    {"slices_negative", R"({"cmd":"synthesize","spec":{"slices":-1}})",
+     "slices"},
+    {"slices_fraction", R"({"cmd":"synthesize","spec":{"slices":2.5}})",
+     "slices"},
+    {"slices_huge", R"({"cmd":"synthesize","spec":{"slices":1e30}})",
+     "slices"},
+    {"seed_infinite", R"({"cmd":"synthesize","spec":{"seed":1e999}})", "seed"},
+};
+
+void PrintTo(const BadIntCase& c, std::ostream* os) { *os << c.name; }
+
+class EvalRequestJsonBadIntTest : public ::testing::TestWithParam<BadIntCase> {
+};
+
+TEST_P(EvalRequestJsonBadIntTest, RefusedWithErrorNamingTheKey) {
+  const BadIntCase& c = GetParam();
+  json::ParseResult pr = json::parse(c.request);
+  ASSERT_TRUE(pr.ok) << pr.error;
+  Req req;
+  std::string err;
+  EXPECT_FALSE(core::eval_request_from_json(pr.value, &req, &err));
+  EXPECT_NE(err.find(std::string("\"") + c.key + "\""), std::string::npos)
+      << err;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OutOfRange, EvalRequestJsonBadIntTest, ::testing::ValuesIn(kBadIntCases));
+
+TEST(EvalRequestJsonTest, IntegerKeysAcceptEveryValueUpToTheFieldLimit) {
+  Req req;
+  std::string err;
+  // 2^63 fits a uint64 seed exactly; 2^64 does not.
+  json::ParseResult pr = json::parse(
+      R"({"cmd":"hdl_emit","spec":{"seed":9223372036854775808}})");
+  ASSERT_TRUE(pr.ok);
+  ASSERT_TRUE(core::eval_request_from_json(pr.value, &req, &err)) << err;
+  EXPECT_EQ(req.spec.seed, std::uint64_t{1} << 63);
+  pr = json::parse(
+      R"({"cmd":"hdl_emit","spec":{"seed":18446744073709551616}})");
+  ASSERT_TRUE(pr.ok);
+  EXPECT_FALSE(core::eval_request_from_json(pr.value, &req, &err));
+
+  // 2^31 - 1 is the largest int; 2^31 is refused rather than wrapped.
+  pr = json::parse(R"({"cmd":"hdl_emit","spec":{"slices":2147483647}})");
+  ASSERT_TRUE(pr.ok);
+  ASSERT_TRUE(core::eval_request_from_json(pr.value, &req, &err)) << err;
+  EXPECT_EQ(req.spec.num_slices, 2147483647);
+  pr = json::parse(R"({"cmd":"hdl_emit","spec":{"slices":2147483648}})");
+  ASSERT_TRUE(pr.ok);
+  EXPECT_FALSE(core::eval_request_from_json(pr.value, &req, &err));
+}
+
 TEST(EvalTest, HdlEmitAndGateSimKindsRoundTripThroughEvaluate) {
   core::AdcSpec spec = small_spec();
   spec.num_slices = 4;
@@ -186,50 +400,6 @@ TEST(EvalTest, GateLevelBackendGatesSpecDrivenKinds) {
     if (d.item == "no_such_module") named = true;
   }
   EXPECT_TRUE(named);
-}
-
-TEST(EvalTest, MonteCarloShimMatchesEvaluateExactly) {
-  const core::AdcSpec spec = small_spec();
-
-  core::MonteCarloOptions opts;
-  opts.runs = 2;
-  opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 1;
-  const core::MonteCarloResult via_shim = core::monte_carlo_sndr(spec, opts);
-
-  core::EvalRequest req;
-  req.kind = core::EvalKind::kMonteCarlo;
-  req.spec = spec;
-  req.monte_carlo = opts;
-  core::ExecContext ctx;
-  ctx.threads = 1;
-  const core::EvalResponse resp = core::evaluate(req, ctx);
-  ASSERT_TRUE(resp.ok);
-
-  // Not approximately: the shim *is* evaluate(), so the draws, seeds and
-  // reductions are the same computation.
-  EXPECT_EQ(resp.monte_carlo.sndr_db, via_shim.sndr_db);
-  EXPECT_EQ(resp.monte_carlo.mean_db, via_shim.mean_db);
-  EXPECT_EQ(resp.monte_carlo.stddev_db, via_shim.stddev_db);
-}
-
-TEST(EvalTest, CornerSweepShimMatchesEvaluateExactly) {
-  const core::AdcSpec spec = small_spec();
-  const auto via_shim = core::corner_sweep(spec, 1 << 11);
-
-  core::EvalRequest req;
-  req.kind = core::EvalKind::kCornerSweep;
-  req.spec = spec;
-  req.corners.n_samples = 1 << 11;
-  core::ExecContext ctx;
-  const core::EvalResponse resp = core::evaluate(req, ctx);
-  ASSERT_TRUE(resp.ok);
-
-  ASSERT_EQ(resp.corners.size(), via_shim.size());
-  for (std::size_t i = 0; i < via_shim.size(); ++i) {
-    EXPECT_EQ(resp.corners[i].name, via_shim[i].name);
-    EXPECT_EQ(resp.corners[i].sndr_db, via_shim[i].sndr_db);
-  }
 }
 
 TEST(EvalTest, InvalidSpecFailsWithRequestLocalDiagnostics) {
@@ -293,23 +463,6 @@ TEST(EvalTest, ResultJsonAndFingerprintAreStable) {
   ASSERT_TRUE(r3.ok);
   EXPECT_NE(core::eval_result_fingerprint(core::eval_result_to_json(r3)),
             core::eval_result_fingerprint(j1));
-}
-
-TEST(EvalTest, DatasheetShimMatchesEvaluate) {
-  const core::AdcSpec spec = small_spec();
-  core::DatasheetOptions opts;
-  opts.n_samples = 1 << 12;
-  const core::Datasheet via_shim = core::generate_datasheet(spec, opts);
-  ASSERT_TRUE(via_shim.complete);
-
-  core::EvalRequest req;
-  req.kind = core::EvalKind::kDatasheet;
-  req.spec = spec;
-  req.datasheet = opts;
-  core::ExecContext ctx;
-  const core::EvalResponse resp = core::evaluate(req, ctx);
-  ASSERT_TRUE(resp.ok);
-  EXPECT_EQ(resp.datasheet.render(), via_shim.render());
 }
 
 }  // namespace

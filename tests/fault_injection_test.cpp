@@ -12,10 +12,8 @@
 
 #include "core/adc.h"
 #include "core/artifact_cache.h"
-#include "core/datasheet.h"
+#include "core/eval.h"
 #include "core/flow.h"
-#include "core/monte_carlo.h"
-#include "core/optimizer.h"
 #include "util/diag.h"
 
 namespace {
@@ -36,6 +34,22 @@ SimulationOptions small_sim() {
   SimulationOptions sim;
   sim.n_samples = 1 << 10;
   return sim;
+}
+
+core::EvalRequest corner_request(const AdcSpec& spec) {
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kCornerSweep;
+  req.spec = spec;
+  req.corners.n_samples = 1 << 10;
+  return req;
+}
+
+core::EvalRequest datasheet_request(const AdcSpec& spec) {
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kDatasheet;
+  req.spec = spec;
+  req.datasheet.n_samples = 1 << 10;
+  return req;
 }
 
 /// One isolated execution environment per test: its own cache (so no state
@@ -133,10 +147,16 @@ TEST(FaultInjection, EveryStageSurfacesDiagnosticsAndRecovers) {
   check(
       "report", [&] { return !flow.report(spec, sim).complete; },
       [&] { return flow.report(spec, sim).complete; });
+  core::EvalRequest migrate;
+  migrate.kind = core::EvalKind::kMigrate;
+  migrate.spec = spec;
+  migrate.migrate_target_node_nm = 22.0;
+  auto target_lib = [&] {
+    return core::evaluate(migrate, h.ctx).migrated->target_lib;
+  };
   check(
-      "migrate",
-      [&] { return flow.migrate(spec, 22.0).target_lib == nullptr; },
-      [&] { return flow.migrate(spec, 22.0).target_lib != nullptr; });
+      "migrate", [&] { return target_lib() == nullptr; },
+      [&] { return target_lib() != nullptr; });
   check(
       "hdl_emit", [&] { return flow.hdl_emit(spec) == nullptr; },
       [&] { return flow.hdl_emit(spec) != nullptr; });
@@ -213,12 +233,13 @@ TEST(FaultInjection, MonteCarloSurvivesPerRunFaults) {
   const core::AdcDesign adc(small_spec(), h.ctx);
   ASSERT_TRUE(adc.ok());
 
-  core::MonteCarloOptions mc;
-  mc.runs = 4;
-  mc.sim.n_samples = 1 << 10;
-  mc.exec = h.ctx;
+  core::EvalRequest mc;
+  mc.kind = core::EvalKind::kMonteCarlo;
+  mc.spec = small_spec();
+  mc.monte_carlo.runs = 4;
+  mc.monte_carlo.sim.n_samples = 1 << 10;
   h.plan.arm("sim_run", 2);  // exactly two of the four draws are refused
-  const auto res = core::monte_carlo_sndr(adc, mc);
+  const auto res = core::evaluate(mc, h.ctx).monte_carlo;
 
   ASSERT_EQ(res.sndr_db.size(), 4u);
   int nans = 0;
@@ -234,7 +255,8 @@ TEST(FaultInjection, CornerSweepSurvivesPerCornerFaults) {
   ASSERT_TRUE(adc.ok());
 
   h.plan.arm("sim_run", 1);
-  const auto corners = core::corner_sweep(adc, h.ctx, 1 << 10);
+  const auto corners = core::evaluate(corner_request(small_spec()), h.ctx)
+                           .corners;
   ASSERT_EQ(corners.size(), 6u);
   int nans = 0;
   for (const auto& c : corners) nans += std::isnan(c.sndr_db) ? 1 : 0;
@@ -249,21 +271,21 @@ TEST(FaultInjection, MonteCarloRejectsInvalidInput) {
   Harness h;
 
   // An invalid spec never builds a design; the driver refuses to fan out.
-  AdcSpec bad = small_spec();
-  bad.num_slices = 1;
-  core::MonteCarloOptions mc;
-  mc.exec = h.ctx;
-  const auto res = core::monte_carlo_sndr(bad, mc);
+  core::EvalRequest mc;
+  mc.kind = core::EvalKind::kMonteCarlo;
+  mc.spec = small_spec();
+  mc.spec.num_slices = 1;
+  const auto res = core::evaluate(mc, h.ctx).monte_carlo;
   EXPECT_TRUE(res.sndr_db.empty());
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 
   // Bad per-run options are rejected once, before the batch.
   h.sink.clear();
-  const core::AdcDesign adc(small_spec(), h.ctx);
-  core::MonteCarloOptions badsim;
-  badsim.exec = h.ctx;
-  badsim.sim.n_samples = 1000;  // not a power of two
-  const auto res2 = core::monte_carlo_sndr(adc, badsim);
+  core::EvalRequest badsim;
+  badsim.kind = core::EvalKind::kMonteCarlo;
+  badsim.spec = small_spec();
+  badsim.monte_carlo.sim.n_samples = 1000;  // not a power of two
+  const auto res2 = core::evaluate(badsim, h.ctx).monte_carlo;
   EXPECT_TRUE(res2.sndr_db.empty());
   bool names_the_knob = false;
   for (const auto& d : h.sink.all()) {
@@ -279,7 +301,7 @@ TEST(FaultInjection, CornerSweepRejectsUnbuiltDesign) {
   const core::AdcDesign adc(bad, h.ctx);
   EXPECT_FALSE(adc.ok());
   h.sink.clear();  // keep only the sweep's own refusal
-  const auto corners = core::corner_sweep(adc, h.ctx, 1 << 10);
+  const auto corners = core::evaluate(corner_request(bad), h.ctx).corners;
   EXPECT_TRUE(corners.empty());
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 }
@@ -288,10 +310,8 @@ TEST(FaultInjection, DatasheetIncompleteOnInvalidSpec) {
   Harness h;
   AdcSpec bad = small_spec();
   bad.num_slices = 100;  // beyond the 64-slice packing limit
-  core::DatasheetOptions opts;
-  opts.n_samples = 1 << 10;
-  opts.exec = h.ctx;
-  const core::Datasheet ds = core::generate_datasheet(bad, opts);
+  const core::Datasheet ds =
+      core::evaluate(datasheet_request(bad), h.ctx).datasheet;
   EXPECT_FALSE(ds.complete);
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
   // The incomplete datasheet still renders without crashing.
@@ -301,46 +321,41 @@ TEST(FaultInjection, DatasheetIncompleteOnInvalidSpec) {
 TEST(FaultInjection, DatasheetIncompleteWhenSynthesisIsFaulted) {
   Harness h;
   h.plan.arm("route", 1);
-  core::DatasheetOptions opts;
-  opts.n_samples = 1 << 10;
-  opts.exec = h.ctx;
-  const core::Datasheet ds = core::generate_datasheet(small_spec(), opts);
+  const core::Datasheet ds =
+      core::evaluate(datasheet_request(small_spec()), h.ctx).datasheet;
   EXPECT_FALSE(ds.complete);
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 }
 
 TEST(FaultInjection, OptimizerRejectsMalformedTargetAndGrid) {
   Harness h;
-  core::OptimizeTarget target;
-  target.bandwidth_hz = -1.0;
-  core::OptimizeOptions opts;
-  opts.exec = h.ctx;
-  const auto res = core::optimize_spec(target, opts);
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kOptimize;
+  req.optimize_target.bandwidth_hz = -1.0;
+  const auto res = core::evaluate(req, h.ctx).optimize;
   EXPECT_FALSE(res.best.has_value());
   EXPECT_TRUE(res.evaluated.empty());
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 
   h.sink.clear();
-  core::OptimizeTarget ok_target;
-  core::OptimizeOptions empty_grid;
-  empty_grid.exec = h.ctx;
-  empty_grid.slice_choices.clear();
-  const auto res2 = core::optimize_spec(ok_target, empty_grid);
+  core::EvalRequest empty_grid;
+  empty_grid.kind = core::EvalKind::kOptimize;
+  empty_grid.optimize.slice_choices.clear();
+  const auto res2 = core::evaluate(empty_grid, h.ctx).optimize;
   EXPECT_FALSE(res2.best.has_value());
   EXPECT_TRUE(h.sink.has_errors()) << h.sink.render();
 }
 
 TEST(FaultInjection, OptimizerRecordsFaultedCandidatesAsUnevaluated) {
   Harness h;
-  core::OptimizeTarget target;
-  target.min_sndr_db = 20.0;
-  core::OptimizeOptions opts;
-  opts.exec = h.ctx;
-  opts.n_samples = 1 << 10;
-  opts.slice_choices = {4};
-  opts.osr_choices = {50, 75};
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kOptimize;
+  req.optimize_target.min_sndr_db = 20.0;
+  req.optimize.n_samples = 1 << 10;
+  req.optimize.slice_choices = {4};
+  req.optimize.osr_choices = {50, 75};
   h.plan.arm("sim_run", 1);  // the first candidate's run is refused
-  const auto res = core::optimize_spec(target, opts);
+  const auto res = core::evaluate(req, h.ctx).optimize;
   ASSERT_EQ(res.evaluated.size(), 2u);
   EXPECT_FALSE(res.evaluated.front().valid);
   EXPECT_TRUE(res.evaluated.back().valid);

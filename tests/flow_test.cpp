@@ -10,9 +10,8 @@
 #include "core/adc.h"
 #include "core/artifact_cache.h"
 #include "core/batch.h"
-#include "core/datasheet.h"
+#include "core/eval.h"
 #include "core/flow.h"
-#include "core/monte_carlo.h"
 #include "netlist/generator.h"
 #include "util/trace.h"
 
@@ -292,18 +291,20 @@ TEST(FlowCache, CachedSynthesisBitIdenticalToFresh) {
 }
 
 TEST(FlowCache, MonteCarloWarmRunBitIdentical) {
-  const core::AdcDesign adc(small_spec());
   ArtifactCache cache(64);
+  ExecContext ctx;
+  ctx.cache = &cache;
+  ctx.threads = 2;
 
-  core::MonteCarloOptions opts;
-  opts.runs = 5;
-  opts.sim.n_samples = 1 << 10;
-  opts.exec.cache = &cache;
-  opts.exec.threads = 2;
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kMonteCarlo;
+  req.spec = small_spec();
+  req.monte_carlo.runs = 5;
+  req.monte_carlo.sim.n_samples = 1 << 10;
 
-  const auto cold = core::monte_carlo_sndr(adc, opts);
+  const auto cold = core::evaluate(req, ctx).monte_carlo;
   const auto before = cache.stats();
-  const auto warm = core::monte_carlo_sndr(adc, opts);
+  const auto warm = core::evaluate(req, ctx).monte_carlo;
   const auto after = cache.stats();
 
   ASSERT_EQ(cold.sndr_db.size(), warm.sndr_db.size());
@@ -323,19 +324,24 @@ TEST(FlowCache, SharedAcrossDriversBuildsNetlistOnce) {
   ExecContext ctx;
   ctx.cache = &cache;
 
-  const core::AdcDesign adc(spec, ctx);
+  core::EvalRequest mc;
+  mc.kind = core::EvalKind::kMonteCarlo;
+  mc.spec = spec;
+  mc.monte_carlo.runs = 3;
+  mc.monte_carlo.sim.n_samples = 1 << 10;
+  core::evaluate(mc, ctx);
 
-  core::MonteCarloOptions mc;
-  mc.runs = 3;
-  mc.sim.n_samples = 1 << 10;
-  mc.exec = ctx;
-  core::monte_carlo_sndr(adc, mc);
-  core::corner_sweep(adc, ctx, 1 << 10);
+  core::EvalRequest corners;
+  corners.kind = core::EvalKind::kCornerSweep;
+  corners.spec = spec;
+  corners.corners.n_samples = 1 << 10;
+  core::evaluate(corners, ctx);
 
-  core::DatasheetOptions ds;
-  ds.n_samples = 1 << 10;
-  ds.exec = ctx;
-  core::generate_datasheet(spec, ds);
+  core::EvalRequest ds;
+  ds.kind = core::EvalKind::kDatasheet;
+  ds.spec = spec;
+  ds.datasheet.n_samples = 1 << 10;
+  core::evaluate(ds, ctx);
 
   // Count the Netlist-stage builds: exactly one miss for its key means the
   // library+netlist were built once and shared by every driver.

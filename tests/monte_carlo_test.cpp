@@ -1,9 +1,27 @@
 #include <gtest/gtest.h>
 
-#include "core/monte_carlo.h"
+#include "core/eval.h"
 
 namespace vcoadc::core {
 namespace {
+
+MonteCarloResult run_mc(const AdcSpec& spec, const MonteCarloOptions& opts,
+                        const ExecContext& ctx = {}) {
+  EvalRequest req;
+  req.kind = EvalKind::kMonteCarlo;
+  req.spec = spec;
+  req.monte_carlo = opts;
+  return evaluate(req, ctx).monte_carlo;
+}
+
+std::vector<CornerResult> run_corners(const AdcSpec& spec,
+                                      std::size_t n_samples) {
+  EvalRequest req;
+  req.kind = EvalKind::kCornerSweep;
+  req.spec = spec;
+  req.corners.n_samples = n_samples;
+  return evaluate(req, ExecContext{}).corners;
+}
 
 TEST(MonteCarlo, DistributionIsTightAroundNominal) {
   // The robustness claim, statistically: across independent mismatch draws
@@ -12,7 +30,7 @@ TEST(MonteCarlo, DistributionIsTightAroundNominal) {
   MonteCarloOptions opts;
   opts.runs = 8;
   opts.sim.n_samples = 1 << 13;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  const MonteCarloResult res = run_mc(spec, opts);
   ASSERT_EQ(res.sndr_db.size(), 8u);
   EXPECT_GT(res.mean_db, 60.0);
   EXPECT_LT(res.stddev_db, 3.0);
@@ -25,7 +43,7 @@ TEST(MonteCarlo, YieldSemantics) {
   MonteCarloOptions opts;
   opts.runs = 6;
   opts.sim.n_samples = 1 << 12;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  const MonteCarloResult res = run_mc(spec, opts);
   EXPECT_DOUBLE_EQ(res.yield(-1000.0), 1.0);   // everything passes
   EXPECT_DOUBLE_EQ(res.yield(1000.0), 0.0);    // nothing passes
   const double y = res.yield(res.mean_db);
@@ -38,7 +56,7 @@ TEST(MonteCarlo, RunsAreIndependentDraws) {
   MonteCarloOptions opts;
   opts.runs = 4;
   opts.sim.n_samples = 1 << 12;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  const MonteCarloResult res = run_mc(spec, opts);
   // With mismatch enabled, different seeds cannot yield identical SNDRs.
   for (std::size_t i = 1; i < res.sndr_db.size(); ++i) {
     EXPECT_NE(res.sndr_db[i], res.sndr_db[0]);
@@ -50,15 +68,15 @@ TEST(MonteCarlo, ParallelIsBitIdenticalToSerial) {
   // seed0 + i and results are ordered by index, so the thread count can
   // never change a single bit of the output.
   AdcSpec spec = AdcSpec::paper_40nm();
-  AdcDesign adc(spec);
   MonteCarloOptions opts;
   opts.runs = 6;
   opts.sim.n_samples = 1 << 12;
+  ExecContext ctx;
 
-  opts.exec.threads = 1;
-  const MonteCarloResult serial = monte_carlo_sndr(adc, opts);
-  opts.exec.threads = 4;
-  const MonteCarloResult parallel = monte_carlo_sndr(adc, opts);
+  ctx.threads = 1;
+  const MonteCarloResult serial = run_mc(spec, opts, ctx);
+  ctx.threads = 4;
+  const MonteCarloResult parallel = run_mc(spec, opts, ctx);
 
   ASSERT_EQ(serial.sndr_db.size(), parallel.sndr_db.size());
   for (std::size_t i = 0; i < serial.sndr_db.size(); ++i) {
@@ -68,30 +86,14 @@ TEST(MonteCarlo, ParallelIsBitIdenticalToSerial) {
   EXPECT_EQ(serial.stddev_db, parallel.stddev_db);
 }
 
-TEST(MonteCarlo, DesignOverloadMatchesSpecOverload) {
-  // The AdcSpec wrapper must be a pure convenience: building the design
-  // up front and reusing it yields the same bits.
-  AdcSpec spec = AdcSpec::paper_40nm();
-  MonteCarloOptions opts;
-  opts.runs = 3;
-  opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 1;
-  const MonteCarloResult from_spec = monte_carlo_sndr(spec, opts);
-  AdcDesign adc(spec);
-  const MonteCarloResult from_design = monte_carlo_sndr(adc, opts);
-  ASSERT_EQ(from_spec.sndr_db.size(), from_design.sndr_db.size());
-  for (std::size_t i = 0; i < from_spec.sndr_db.size(); ++i) {
-    EXPECT_EQ(from_spec.sndr_db[i], from_design.sndr_db[i]);
-  }
-}
-
 TEST(MonteCarlo, BatchInstrumentationIsPopulated) {
   AdcSpec spec = AdcSpec::paper_40nm();
   MonteCarloOptions opts;
   opts.runs = 4;
   opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 2;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  ExecContext ctx;
+  ctx.threads = 2;
+  const MonteCarloResult res = run_mc(spec, opts, ctx);
   EXPECT_EQ(res.batch.threads, 2);
   EXPECT_GT(res.batch.wall_s, 0.0);
   EXPECT_GT(res.batch.busy_s, 0.0);
@@ -107,16 +109,16 @@ TEST(MonteCarlo, BatchedEngineIsBitIdenticalToScalarPath) {
   // SIMD lanes (default width) changes nothing but wall time versus the
   // forced per-draw scalar path — the SNDR vector matches bit for bit.
   AdcSpec spec = AdcSpec::paper_40nm();
-  AdcDesign adc(spec);
   MonteCarloOptions opts;
   opts.runs = 6;
   opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 1;
+  ExecContext ctx;
+  ctx.threads = 1;
 
   opts.batch_width = 1;  // scalar per-draw reference
-  const MonteCarloResult scalar = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult scalar = run_mc(spec, opts, ctx);
   opts.batch_width = 0;  // host-preferred lane width
-  const MonteCarloResult batched = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult batched = run_mc(spec, opts, ctx);
 
   ASSERT_EQ(scalar.sndr_db.size(), batched.sndr_db.size());
   for (std::size_t i = 0; i < scalar.sndr_db.size(); ++i) {
@@ -132,16 +134,16 @@ TEST(MonteCarlo, BatchedRemainderPartitionCoversEveryDraw) {
   // with its own seed, identical to the all-scalar partition, and the
   // per-draw wall times must stay populated (group time amortized).
   AdcSpec spec = AdcSpec::paper_40nm();
-  AdcDesign adc(spec);
   MonteCarloOptions opts;
   opts.runs = 7;
   opts.sim.n_samples = 1 << 12;
-  opts.exec.threads = 1;
+  ExecContext ctx;
+  ctx.threads = 1;
 
   opts.batch_width = 1;
-  const MonteCarloResult scalar = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult scalar = run_mc(spec, opts, ctx);
   opts.batch_width = 4;
-  const MonteCarloResult batched = monte_carlo_sndr(adc, opts);
+  const MonteCarloResult batched = run_mc(spec, opts, ctx);
 
   ASSERT_EQ(scalar.sndr_db.size(), 7u);
   ASSERT_EQ(batched.sndr_db.size(), 7u);
@@ -156,27 +158,14 @@ TEST(MonteCarlo, ZeroRunsIsEmptyNotUndefined) {
   AdcSpec spec = AdcSpec::paper_40nm();
   MonteCarloOptions opts;
   opts.runs = 0;
-  const MonteCarloResult res = monte_carlo_sndr(spec, opts);
+  const MonteCarloResult res = run_mc(spec, opts);
   EXPECT_TRUE(res.sndr_db.empty());
   EXPECT_DOUBLE_EQ(res.yield(60.0), 0.0);
 }
 
-TEST(Corners, DesignOverloadMatchesSpecOverload) {
-  AdcSpec spec = AdcSpec::paper_40nm();
-  const auto from_spec = corner_sweep(spec, 1 << 12);
-  AdcDesign adc(spec);
-  const auto from_design = corner_sweep(adc, 1 << 12);
-  ASSERT_EQ(from_spec.size(), from_design.size());
-  for (std::size_t i = 0; i < from_spec.size(); ++i) {
-    EXPECT_EQ(from_spec[i].name, from_design[i].name);
-    EXPECT_EQ(from_spec[i].sndr_db, from_design[i].sndr_db) << "corner " << i;
-    EXPECT_EQ(from_spec[i].power_w, from_design[i].power_w) << "corner " << i;
-  }
-}
-
 TEST(Corners, AllCornersStayFunctional) {
   AdcSpec spec = AdcSpec::paper_40nm();
-  const auto corners = corner_sweep(spec, 1 << 13);
+  const auto corners = run_corners(spec, 1 << 13);
   ASSERT_EQ(corners.size(), 6u);
   double tt_sndr = 0;
   for (const auto& c : corners) {
@@ -194,7 +183,7 @@ TEST(Corners, AllCornersStayFunctional) {
 
 TEST(Corners, VoltageScalesPower) {
   AdcSpec spec = AdcSpec::paper_40nm();
-  const auto corners = corner_sweep(spec, 1 << 12);
+  const auto corners = run_corners(spec, 1 << 12);
   double p_low = 0, p_high = 0;
   for (const auto& c : corners) {
     if (c.name.find("0.90V") != std::string::npos) p_low = c.power_w;

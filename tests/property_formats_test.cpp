@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include "netlist/cell_library.h"
@@ -78,6 +79,10 @@ struct GateCase {
   int truth;  // bitmask over 2^inputs cases
 };
 
+// Print the master name, not the struct bytes: gtest's default printer dumps
+// the `master` pointer, which puts a load address into the listed test name.
+void PrintTo(const GateCase& gc, std::ostream* os) { *os << gc.master; }
+
 class GateTruth : public ::testing::TestWithParam<GateCase> {};
 
 TEST_P(GateTruth, MatchesTruthTable) {
@@ -126,10 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GateCase{"NOR2X1", 2, 0b0001},   // !(A|B)
                       GateCase{"XOR2X1", 2, 0b0110},
                       GateCase{"NAND3X1", 3, 0b01111111},
-                      GateCase{"NOR3X4", 3, 0b00000001}),
-    [](const ::testing::TestParamInfo<GateCase>& info) {
-      return info.param.master;
-    });
+                      GateCase{"NOR3X4", 3, 0b00000001}));
 
 }  // namespace
 }  // namespace vcoadc::netlist

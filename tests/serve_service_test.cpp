@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/artifact_cache.h"
 #include "core/exec_context.h"
 #include "util/json.h"
@@ -150,7 +152,8 @@ TEST(ServeServiceTest, SocketResponsesBitIdenticalToStdio) {
 
   // Socket pass: 4 concurrent clients, each replaying the whole mix.
   const fs::path sock =
-      fs::temp_directory_path() / "vcoadc_serve_svc.sock";
+      fs::temp_directory_path() /
+      ("vcoadc_serve_svc_" + std::to_string(getpid()) + ".sock");
   std::error_code ec;
   fs::remove(sock, ec);
   const Endpoint ep = util::net::parse_endpoint(sock.string());
