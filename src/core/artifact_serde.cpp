@@ -1,6 +1,8 @@
 #include "core/artifact_serde.h"
 
+#include <concepts>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "netlist/verilog_parser.h"
@@ -11,124 +13,299 @@ namespace {
 
 using netlist::CellLibrary;
 using netlist::FlatInstance;
-using netlist::PinSpec;
-using netlist::PortDir;
 using netlist::StdCell;
+using serde::Reader;
+using serde::Writer;
 
-// --- shared sub-encoders --------------------------------------------------
+/// T or const T: the Writer instantiates each io() below on a const
+/// artifact, the Reader on the one it fills.
+template <typename T, typename U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
 
-void encode_cell(const StdCell& c, serde::Writer& w) {
-  w.str(c.name);
-  w.str(c.function);
-  w.i64(c.drive);
-  w.f64(c.width_m);
-  w.f64(c.height_m);
-  w.size(c.pins.size());
-  for (const PinSpec& p : c.pins) {
-    w.str(p.name);
-    w.u8(static_cast<std::uint8_t>(p.dir));
-  }
-  w.f64(c.input_cap_f);
-  w.f64(c.leakage_w);
-  w.boolean(c.is_resistor);
-  w.f64(c.resistance_ohms);
-  w.str(c.power_pin);
-  w.str(c.ground_pin);
+/// Decode-only steps: structural checks and rebuilding derived state.
+template <typename Ar>
+constexpr bool kReads = std::is_same_v<Ar, Reader>;
+
+// --- one field list per stored struct ---------------------------------------
+//
+// Fields in record order. Editing a list changes the bytes on disk, so it
+// bumps the owning codec's type_version.
+
+template <typename Ar, typename V>
+void f64s(Ar& ar, V& v) {
+  ar.vec(v, [&](auto& x) { ar.f64(x); });
 }
 
-bool decode_cell(serde::Reader& r, StdCell& c) {
-  c.name = r.str();
-  c.function = r.str();
-  c.drive = static_cast<int>(r.i64());
-  c.width_m = r.f64();
-  c.height_m = r.f64();
-  const std::size_t npins = r.size();
-  c.pins.clear();
-  c.pins.reserve(npins);
-  for (std::size_t i = 0; i < npins && r.ok(); ++i) {
-    PinSpec p;
-    p.name = r.str();
-    p.dir = static_cast<PortDir>(r.u8());
-    c.pins.push_back(std::move(p));
-  }
-  c.input_cap_f = r.f64();
-  c.leakage_w = r.f64();
-  c.is_resistor = r.boolean();
-  c.resistance_ohms = r.f64();
-  c.power_pin = r.str();
-  c.ground_pin = r.str();
-  return r.ok();
+/// PinSpec and Port are both a name and a direction.
+template <typename Ar, typename P>
+  requires Is<P, netlist::PinSpec> || Is<P, netlist::Port>
+void io(Ar& ar, P& p) {
+  ar.str(p.name);
+  ar.u8(p.dir);
 }
 
-void encode_library(const CellLibrary& lib, serde::Writer& w) {
+template <typename Ar, Is<StdCell> C>
+void io(Ar& ar, C& c) {
+  ar.str(c.name);
+  ar.str(c.function);
+  ar.i64(c.drive);
+  ar.f64(c.width_m);
+  ar.f64(c.height_m);
+  ar.vec(c.pins, [&](auto& p) { io(ar, p); });
+  ar.f64(c.input_cap_f);
+  ar.f64(c.leakage_w);
+  ar.boolean(c.is_resistor);
+  ar.f64(c.resistance_ohms);
+  ar.str(c.power_pin);
+  ar.str(c.ground_pin);
+}
+
+template <typename Ar, Is<netlist::Instance> I>
+void io(Ar& ar, I& inst) {
+  ar.str(inst.name);
+  ar.str(inst.master);
+  ar.str_map(inst.conn);
+  ar.str(inst.power_domain);
+  ar.str(inst.group);
+}
+
+template <typename Ar, Is<synth::Rect> R>
+void io(Ar& ar, R& rect) {
+  ar.f64(rect.x);
+  ar.f64(rect.y);
+  ar.f64(rect.w);
+  ar.f64(rect.h);
+}
+
+template <typename Ar, Is<synth::PlacedRegion> P>
+void io(Ar& ar, P& pr) {
+  ar.str(pr.spec.name);
+  ar.boolean(pr.spec.is_group);
+  ar.vec(pr.spec.members, [&](auto& m) { ar.i64(m); });
+  ar.f64(pr.spec.cell_area_m2);
+  ar.f64(pr.spec.max_cell_width_m);
+  io(ar, pr.rect);
+}
+
+template <typename Ar, Is<synth::Floorplan> F>
+void io(Ar& ar, F& fp) {
+  io(ar, fp.die);
+  ar.f64(fp.row_height_m);
+  ar.f64(fp.site_width_m);
+  ar.vec(fp.regions, [&](auto& pr) { io(ar, pr); });
+}
+
+template <typename Ar, Is<synth::PlacedCell> C>
+void io(Ar& ar, C& c) {
+  ar.i64(c.flat_index);
+  io(ar, c.rect);
+  ar.i64(c.row);
+  ar.str(c.region);
+}
+
+template <typename Ar, Is<synth::Placement> P>
+void io(Ar& ar, P& pl) {
+  ar.vec(pl.cells, [&](auto& c) { io(ar, c); });
+  ar.boolean(pl.overflow);
+}
+
+template <typename Ar, Is<synth::NetRoute> N>
+void io(Ar& ar, N& nr) {
+  ar.str(nr.net);
+  ar.i64(nr.pins);
+  ar.f64(nr.hpwl_m);
+  ar.f64(nr.est_length_m);
+}
+
+template <typename Ar, Is<synth::RoutingEstimate> R>
+void io(Ar& ar, R& re) {
+  ar.vec(re.nets, [&](auto& nr) { io(ar, nr); });
+  ar.f64(re.total_hpwl_m);
+  ar.f64(re.total_est_length_m);
+  ar.i64(re.congestion.nx);
+  ar.i64(re.congestion.ny);
+  f64s(ar, re.congestion.demand);
+  ar.f64(re.congestion.max_demand);
+  ar.f64(re.congestion.mean_demand);
+  ar.f64(re.wire_cap_f);
+}
+
+template <typename Ar, Is<synth::GridPoint> G>
+void io(Ar& ar, G& gp) {
+  ar.i64(gp.x);
+  ar.i64(gp.y);
+  ar.i64(gp.layer);
+}
+
+template <typename Ar, Is<synth::RoutedNet> N>
+void io(Ar& ar, N& net) {
+  ar.str(net.name);
+  ar.i64(net.pins);
+  ar.vec(net.paths, [&](auto& path) {
+    ar.vec(path, [&](auto& gp) { io(ar, gp); });
+  });
+  ar.f64(net.wirelength_m);
+  ar.i64(net.vias);
+  ar.boolean(net.routed);
+}
+
+template <typename Ar, Is<synth::MazeRouteResult> M>
+void io(Ar& ar, M& mr) {
+  ar.vec(mr.nets, [&](auto& net) { io(ar, net); });
+  ar.f64(mr.total_wirelength_m);
+  ar.i64(mr.total_vias);
+  ar.i64(mr.failed_nets);
+  ar.i64(mr.overflowed_edges);
+  ar.i64(mr.grid_x);
+  ar.i64(mr.grid_y);
+}
+
+template <typename Ar, Is<synth::DrcReport> D>
+void io(Ar& ar, D& drc) {
+  ar.vec(drc.violations, [&](auto& v) {
+    ar.u8(v.kind);
+    ar.str(v.detail);
+  });
+}
+
+template <typename Ar, Is<synth::LayoutStats> S>
+void io(Ar& ar, S& st) {
+  ar.f64(st.die_area_m2);
+  ar.f64(st.cell_area_m2);
+  ar.f64(st.utilization);
+  ar.i64(st.num_cells);
+  ar.i64(st.num_rows);
+  ar.i64(st.num_regions);
+}
+
+template <typename Ar, Is<RunResult> R>
+void io(Ar& ar, R& res) {
+  ar.f64(res.fin_hz);
+  ar.f64(res.amplitude_v);
+  ar.f64(res.full_scale_v);
+  auto& mod = res.mod;
+  f64s(ar, mod.output);
+  ar.vec(mod.counts, [&](auto& c) { ar.i64(c); });
+  ar.vec(mod.slice_bits, [&](auto& bits) { ar.bits(bits); });
+  ar.f64(mod.mean_vctrlp);
+  ar.f64(mod.mean_vctrln);
+  ar.f64(mod.mean_freq1_hz);
+  ar.f64(mod.mean_freq2_hz);
+  ar.f64(mod.bit_toggle_rate);
+  auto& spec = res.spectrum;
+  f64s(ar, spec.freq_hz);
+  f64s(ar, spec.power);
+  f64s(ar, spec.dbfs);
+  ar.f64(spec.fs_hz);
+  ar.f64(spec.bin_hz);
+  ar.f64(spec.enbw_bins);
+  ar.u8(spec.window);
+  auto& sndr = res.sndr;
+  ar.f64(sndr.fundamental_hz);
+  ar.f64(sndr.fundamental_dbfs);
+  ar.f64(sndr.signal_power);
+  ar.f64(sndr.nad_power);
+  ar.f64(sndr.noise_power);
+  ar.f64(sndr.distortion_power);
+  ar.f64(sndr.sndr_db);
+  ar.f64(sndr.snr_db);
+  ar.f64(sndr.thd_db);
+  ar.f64(sndr.sfdr_db);
+  ar.f64(sndr.enob);
+  ar.f64(res.shaping.db_per_decade);
+  ar.f64(res.shaping.r_squared);
+  ar.vec(res.idle_tones, [&](auto& t) {
+    ar.f64(t.freq_hz);
+    ar.f64(t.dbfs);
+    ar.f64(t.above_floor_db);
+  });
+  auto& power = res.power;
+  ar.f64(power.vco_w);
+  ar.f64(power.sampling_w);
+  ar.f64(power.dac_drive_w);
+  ar.f64(power.buffer_sw_w);
+  ar.f64(power.wire_w);
+  ar.f64(power.leakage_w);
+  ar.f64(power.dac_static_w);
+  ar.f64(power.buffer_bias_w);
+  ar.f64(res.fom_fj);
+}
+
+template <typename Ar, Is<GateSimResult> G>
+void io(Ar& ar, G& g) {
+  ar.boolean(g.comparator_ok);
+  ar.f64(g.ring_period_s);
+  ar.f64(g.ring_period_pred_s);
+  ar.boolean(g.ring_ok);
+  ar.u64(g.n_samples);  // a value, not an element count: no payload bound
+  ar.i64(g.num_slices);
+  f64s(ar, g.decoded);
+  f64s(ar, g.decimated);
+  ar.boolean(g.matches_behavioral);
+  ar.u64(g.transitions);
+}
+
+// --- built through calls, so each direction is written out ------------------
+
+void io(Writer& w, const CellLibrary& lib) {
   w.str(lib.name());
-  w.size(lib.cells().size());
-  for (const StdCell& c : lib.cells()) encode_cell(c, w);
+  w.vec(lib.cells(), [&](const StdCell& c) { io(w, c); });
 }
 
-std::shared_ptr<CellLibrary> decode_library(serde::Reader& r) {
-  auto lib = std::make_shared<CellLibrary>(r.str());
-  const std::size_t n = r.size();
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    StdCell c;
-    if (!decode_cell(r, c)) return nullptr;
-    lib->add(std::move(c));
-  }
-  return r.ok() ? lib : nullptr;
+void io(Reader& r, CellLibrary& lib) {
+  std::string name;
+  std::vector<StdCell> cells;
+  r.str(name);
+  r.vec(cells, [&](StdCell& c) { io(r, c); });
+  lib = CellLibrary(std::move(name));
+  for (StdCell& c : cells) lib.add(std::move(c));
 }
 
-void encode_string_map(const std::map<std::string, std::string>& m,
-                       serde::Writer& w) {
-  w.size(m.size());
-  for (const auto& [k, v] : m) {
-    w.str(k);
-    w.str(v);
-  }
+/// Hierarchical design over a decoded library (lives only inside the
+/// DesignBundle codec — flat-carrying artifacts store flat form).
+void io(Writer& w, const netlist::Design& d) {
+  w.str(d.top());
+  w.vec(d.modules(), [&](const netlist::Module& mod) {
+    w.str(mod.name());
+    w.vec(mod.ports(), [&](const netlist::Port& p) { io(w, p); });
+    w.vec(mod.nets(), [&](const std::string& net) { w.str(net); });
+    w.vec(mod.instances(), [&](const netlist::Instance& i) { io(w, i); });
+  });
 }
 
-bool decode_string_map(serde::Reader& r,
-                       std::map<std::string, std::string>& m) {
-  const std::size_t n = r.size();
-  m.clear();
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    std::string k = r.str();
-    m[std::move(k)] = r.str();
+void io(Reader& r, netlist::Design& d) {
+  std::string top;
+  r.str(top);
+  const std::size_t nmod = r.size();
+  for (std::size_t i = 0; i < nmod && r.ok(); ++i) {
+    std::string name;
+    std::vector<netlist::Port> ports;
+    std::vector<std::string> nets;
+    std::vector<netlist::Instance> insts;
+    r.str(name);
+    r.vec(ports, [&](netlist::Port& p) { io(r, p); });
+    r.vec(nets, [&](std::string& net) { r.str(net); });
+    r.vec(insts, [&](netlist::Instance& inst) { io(r, inst); });
+    netlist::Module& mod = d.add_module(name);
+    for (const netlist::Port& p : ports) mod.add_port(p.name, p.dir);
+    for (const std::string& net : nets) mod.add_net(net);
+    for (netlist::Instance& inst : insts) mod.add_instance(std::move(inst));
   }
-  return r.ok();
+  d.set_top(top);
 }
 
-/// Flat instances reference StdCells by pointer; on disk they go by name
-/// against the library the enclosing codec embeds.
-void encode_flat(const std::vector<FlatInstance>& flat, serde::Writer& w) {
-  w.size(flat.size());
-  for (const FlatInstance& fi : flat) {
-    w.str(fi.path);
-    w.str(fi.cell != nullptr ? fi.cell->name : std::string());
-    encode_string_map(fi.conn, w);
-    w.str(fi.power_domain);
-    w.str(fi.group);
-  }
+/// A library held by shared pointer, behind a presence flag. Cached
+/// artifacts always carry one; a record without one is refused.
+void io(Writer& w, const std::shared_ptr<const CellLibrary>& lib) {
+  w.boolean(lib != nullptr);
+  if (lib != nullptr) io(w, *lib);
 }
 
-bool decode_flat(serde::Reader& r, const CellLibrary& lib,
-                 std::vector<FlatInstance>& flat) {
-  const std::size_t n = r.size();
-  flat.clear();
-  flat.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    FlatInstance fi;
-    fi.path = r.str();
-    const std::string cell_name = r.str();
-    if (!cell_name.empty()) {
-      fi.cell = lib.find(cell_name);
-      if (fi.cell == nullptr) return false;  // dangling reference
-    }
-    if (!decode_string_map(r, fi.conn)) return false;
-    fi.power_domain = r.str();
-    fi.group = r.str();
-    flat.push_back(std::move(fi));
-  }
-  return r.ok();
+void io(Reader& r, std::shared_ptr<const CellLibrary>& lib) {
+  if (!r.boolean()) return r.fail();
+  auto decoded = std::make_shared<CellLibrary>();
+  io(r, *decoded);
+  lib = std::move(decoded);
 }
 
 /// Collects the distinct StdCells a flat vector references into a
@@ -146,628 +323,183 @@ CellLibrary referenced_cells(const std::vector<FlatInstance>& flat) {
   return lib;
 }
 
-void encode_rect(const synth::Rect& rect, serde::Writer& w) {
-  w.f64(rect.x);
-  w.f64(rect.y);
-  w.f64(rect.w);
-  w.f64(rect.h);
+/// Flat instances reference StdCells by pointer; on disk they go by name
+/// against the library embedded ahead of them.
+void cell_ref(Writer& w, const StdCell* cell, const CellLibrary&) {
+  w.str(cell != nullptr ? cell->name : std::string());
 }
 
-synth::Rect decode_rect(serde::Reader& r) {
-  synth::Rect rect;
-  rect.x = r.f64();
-  rect.y = r.f64();
-  rect.w = r.f64();
-  rect.h = r.f64();
-  return rect;
+/// Every stage dereferences the pointer, so an empty or dangling name
+/// refuses the record.
+void cell_ref(Reader& r, const StdCell*& cell, const CellLibrary& lib) {
+  std::string name;
+  r.str(name);
+  cell = lib.find(name);
+  if (cell == nullptr) r.fail();
 }
 
-void encode_floorplan(const synth::Floorplan& fp, serde::Writer& w) {
-  encode_rect(fp.die, w);
-  w.f64(fp.row_height_m);
-  w.f64(fp.site_width_m);
-  w.size(fp.regions.size());
-  for (const synth::PlacedRegion& pr : fp.regions) {
-    w.str(pr.spec.name);
-    w.boolean(pr.spec.is_group);
-    w.size(pr.spec.members.size());
-    for (const int m : pr.spec.members) w.i64(m);
-    w.f64(pr.spec.cell_area_m2);
-    w.f64(pr.spec.max_cell_width_m);
-    encode_rect(pr.rect, w);
-  }
-}
-
-bool decode_floorplan(serde::Reader& r, synth::Floorplan& fp) {
-  fp.die = decode_rect(r);
-  fp.row_height_m = r.f64();
-  fp.site_width_m = r.f64();
-  const std::size_t n = r.size();
-  fp.regions.clear();
-  fp.regions.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::PlacedRegion pr;
-    pr.spec.name = r.str();
-    pr.spec.is_group = r.boolean();
-    const std::size_t nm = r.size();
-    pr.spec.members.reserve(nm);
-    for (std::size_t j = 0; j < nm && r.ok(); ++j) {
-      pr.spec.members.push_back(static_cast<int>(r.i64()));
-    }
-    pr.spec.cell_area_m2 = r.f64();
-    pr.spec.max_cell_width_m = r.f64();
-    pr.rect = decode_rect(r);
-    fp.regions.push_back(std::move(pr));
-  }
-  return r.ok();
-}
-
-void encode_placement(const synth::Placement& pl, serde::Writer& w) {
-  w.size(pl.cells.size());
-  for (const synth::PlacedCell& c : pl.cells) {
-    w.i64(c.flat_index);
-    encode_rect(c.rect, w);
-    w.i64(c.row);
-    w.str(c.region);
-  }
-  w.boolean(pl.overflow);
-}
-
-bool decode_placement(serde::Reader& r, synth::Placement& pl) {
-  const std::size_t n = r.size();
-  pl.cells.clear();
-  pl.cells.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::PlacedCell c;
-    c.flat_index = static_cast<int>(r.i64());
-    c.rect = decode_rect(r);
-    c.row = static_cast<int>(r.i64());
-    c.region = r.str();
-    pl.cells.push_back(std::move(c));
-  }
-  pl.overflow = r.boolean();
-  return r.ok();
-}
-
-void encode_routing_estimate(const synth::RoutingEstimate& re,
-                             serde::Writer& w) {
-  w.size(re.nets.size());
-  for (const synth::NetRoute& nr : re.nets) {
-    w.str(nr.net);
-    w.i64(nr.pins);
-    w.f64(nr.hpwl_m);
-    w.f64(nr.est_length_m);
-  }
-  w.f64(re.total_hpwl_m);
-  w.f64(re.total_est_length_m);
-  w.i64(re.congestion.nx);
-  w.i64(re.congestion.ny);
-  w.size(re.congestion.demand.size());
-  for (const double d : re.congestion.demand) w.f64(d);
-  w.f64(re.congestion.max_demand);
-  w.f64(re.congestion.mean_demand);
-  w.f64(re.wire_cap_f);
-}
-
-bool decode_routing_estimate(serde::Reader& r, synth::RoutingEstimate& re) {
-  const std::size_t n = r.size();
-  re.nets.clear();
-  re.nets.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::NetRoute nr;
-    nr.net = r.str();
-    nr.pins = static_cast<int>(r.i64());
-    nr.hpwl_m = r.f64();
-    nr.est_length_m = r.f64();
-    re.nets.push_back(std::move(nr));
-  }
-  re.total_hpwl_m = r.f64();
-  re.total_est_length_m = r.f64();
-  re.congestion.nx = static_cast<int>(r.i64());
-  re.congestion.ny = static_cast<int>(r.i64());
-  const std::size_t nd = r.size();
-  re.congestion.demand.clear();
-  re.congestion.demand.reserve(nd);
-  for (std::size_t i = 0; i < nd && r.ok(); ++i) {
-    re.congestion.demand.push_back(r.f64());
-  }
-  re.congestion.max_demand = r.f64();
-  re.congestion.mean_demand = r.f64();
-  re.wire_cap_f = r.f64();
-  return r.ok();
-}
-
-void encode_maze_result(const synth::MazeRouteResult& mr, serde::Writer& w) {
-  w.size(mr.nets.size());
-  for (const synth::RoutedNet& net : mr.nets) {
-    w.str(net.name);
-    w.i64(net.pins);
-    w.size(net.paths.size());
-    for (const auto& path : net.paths) {
-      w.size(path.size());
-      for (const synth::GridPoint& gp : path) {
-        w.i64(gp.x);
-        w.i64(gp.y);
-        w.i64(gp.layer);
+/// The placer indexes the flat vector by every region member. The Writer
+/// trusts the artifact it is handed; the Reader trusts nothing from disk.
+template <typename Ar>
+void check_members(Ar& ar, const synth::Floorplan& fp, std::size_t n_flat) {
+  if constexpr (kReads<Ar>) {
+    for (const synth::PlacedRegion& pr : fp.regions) {
+      for (const int m : pr.spec.members) {
+        if (m < 0 || static_cast<std::size_t>(m) >= n_flat) ar.fail();
       }
     }
-    w.f64(net.wirelength_m);
-    w.i64(net.vias);
-    w.boolean(net.routed);
-  }
-  w.f64(mr.total_wirelength_m);
-  w.i64(mr.total_vias);
-  w.i64(mr.failed_nets);
-  w.i64(mr.overflowed_edges);
-  w.i64(mr.grid_x);
-  w.i64(mr.grid_y);
-}
-
-bool decode_maze_result(serde::Reader& r, synth::MazeRouteResult& mr) {
-  const std::size_t n = r.size();
-  mr.nets.clear();
-  mr.nets.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::RoutedNet net;
-    net.name = r.str();
-    net.pins = static_cast<int>(r.i64());
-    const std::size_t np = r.size();
-    net.paths.reserve(np);
-    for (std::size_t j = 0; j < np && r.ok(); ++j) {
-      const std::size_t npts = r.size();
-      std::vector<synth::GridPoint> path;
-      path.reserve(npts);
-      for (std::size_t k = 0; k < npts && r.ok(); ++k) {
-        synth::GridPoint gp;
-        gp.x = static_cast<int>(r.i64());
-        gp.y = static_cast<int>(r.i64());
-        gp.layer = static_cast<int>(r.i64());
-        path.push_back(gp);
-      }
-      net.paths.push_back(std::move(path));
-    }
-    net.wirelength_m = r.f64();
-    net.vias = static_cast<int>(r.i64());
-    net.routed = r.boolean();
-    mr.nets.push_back(std::move(net));
-  }
-  mr.total_wirelength_m = r.f64();
-  mr.total_vias = static_cast<int>(r.i64());
-  mr.failed_nets = static_cast<int>(r.i64());
-  mr.overflowed_edges = static_cast<int>(r.i64());
-  mr.grid_x = static_cast<int>(r.i64());
-  mr.grid_y = static_cast<int>(r.i64());
-  return r.ok();
-}
-
-void encode_drc(const synth::DrcReport& drc, serde::Writer& w) {
-  w.size(drc.violations.size());
-  for (const synth::DrcViolation& v : drc.violations) {
-    w.u8(static_cast<std::uint8_t>(v.kind));
-    w.str(v.detail);
   }
 }
 
-bool decode_drc(serde::Reader& r, synth::DrcReport& drc) {
-  const std::size_t n = r.size();
-  drc.violations.clear();
-  drc.violations.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    synth::DrcViolation v;
-    v.kind = static_cast<synth::DrcKind>(r.u8());
-    v.detail = r.str();
-    drc.violations.push_back(std::move(v));
+// --- flat-carrying artifacts -----------------------------------------------
+
+/// The library of the cells `flat` references, then the flat instances.
+/// The Writer fills `lib` from `flat`; the Reader decodes into it.
+template <typename Ar, typename Flat>
+void io_flat(Ar& ar, Flat& flat, CellLibrary& lib) {
+  if constexpr (!kReads<Ar>) lib = referenced_cells(flat);
+  io(ar, lib);
+  ar.vec(flat, [&](auto& fi) {
+    ar.str(fi.path);
+    cell_ref(ar, fi.cell, lib);
+    ar.str_map(fi.conn);
+    ar.str(fi.power_domain);
+    ar.str(fi.group);
+  });
+}
+
+template <typename Ar, Is<synth::FloorplanStageResult> A>
+void io(Ar& ar, A& a, CellLibrary& lib) {
+  io_flat(ar, a.flat, lib);
+  io(ar, a.fp);
+  ar.str(a.floorplan_spec);
+  check_members(ar, a.fp, a.flat.size());
+}
+
+/// A Layout's parts in record order.
+template <typename Ar, typename Flat, typename Fp, typename Pl>
+void layout_parts(Ar& ar, Flat& flat, Fp& fp, Pl& pl, CellLibrary& lib) {
+  io_flat(ar, flat, lib);
+  io(ar, fp);
+  io(ar, pl);
+  check_members(ar, fp, flat.size());
+}
+
+/// Failed results (diagnostics, null layout) are never cached, so the
+/// persisted form carries a layout by construction; the flag stays so a
+/// hand-damaged record fails decode instead of crashing.
+void io_layout(Writer& w, const std::unique_ptr<synth::Layout>& layout,
+               CellLibrary& lib) {
+  w.boolean(layout != nullptr);
+  if (layout == nullptr) return;
+  layout_parts(w, layout->flat(), layout->floorplan(), layout->placement(),
+               lib);
+}
+
+/// The Layout is immutable, so its parts are decoded first.
+void io_layout(Reader& r, std::unique_ptr<synth::Layout>& layout,
+               CellLibrary& lib) {
+  if (!r.boolean()) return r.fail();
+  std::vector<FlatInstance> flat;
+  synth::Floorplan fp;
+  synth::Placement pl;
+  layout_parts(r, flat, fp, pl, lib);
+  // Layout::stats walks the placement index-aligned with the flat vector.
+  if (pl.cells.size() != flat.size()) r.fail();
+  layout = std::make_unique<synth::Layout>(std::move(flat), std::move(fp),
+                                           std::move(pl));
+}
+
+template <typename Ar, Is<synth::SynthesisResult> S>
+void io(Ar& ar, S& s, CellLibrary& lib) {
+  ar.str(s.floorplan_spec);
+  io_layout(ar, s.layout, lib);
+  io(ar, s.routing);
+  io(ar, s.detailed_routing);
+  io(ar, s.drc);
+  io(ar, s.stats);
+}
+
+template <typename Ar, Is<HdlEmitResult> A>
+void io(Ar& ar, A& a) {
+  // The emitted text is the payload of record; the parsed view is derived
+  // from it on decode and never serialized (so text and structure cannot
+  // drift on disk).
+  ar.str(a.verilog);
+  ar.str(a.top);
+  ar.i64(a.instances_compared);
+  io(ar, a.lib);
+  if constexpr (kReads<Ar>) {
+    if (!ar.ok()) return;
+    // Corrupt-miss: the stored text must re-parse to a design with its top.
+    auto parsed = std::make_shared<netlist::Design>(a.lib.get());
+    if (!netlist::parse_verilog(a.verilog, *parsed).ok) return ar.fail();
+    parsed->set_top(a.top);
+    if (parsed->find_module(a.top) == nullptr) return ar.fail();
+    a.parsed = std::move(parsed);
   }
-  return r.ok();
-}
-
-void encode_layout_stats(const synth::LayoutStats& st, serde::Writer& w) {
-  w.f64(st.die_area_m2);
-  w.f64(st.cell_area_m2);
-  w.f64(st.utilization);
-  w.i64(st.num_cells);
-  w.i64(st.num_rows);
-  w.i64(st.num_regions);
-}
-
-synth::LayoutStats decode_layout_stats(serde::Reader& r) {
-  synth::LayoutStats st;
-  st.die_area_m2 = r.f64();
-  st.cell_area_m2 = r.f64();
-  st.utilization = r.f64();
-  st.num_cells = static_cast<int>(r.i64());
-  st.num_rows = static_cast<int>(r.i64());
-  st.num_regions = static_cast<int>(r.i64());
-  return st;
-}
-
-/// Hierarchical design over a decoded library (lives only inside the
-/// DesignBundle codec — flat-carrying artifacts store flat form).
-void encode_design(const netlist::Design& d, serde::Writer& w) {
-  w.str(d.top());
-  w.size(d.modules().size());
-  for (const netlist::Module& mod : d.modules()) {
-    w.str(mod.name());
-    w.size(mod.ports().size());
-    for (const netlist::Port& p : mod.ports()) {
-      w.str(p.name);
-      w.u8(static_cast<std::uint8_t>(p.dir));
-    }
-    w.size(mod.nets().size());
-    for (const std::string& net : mod.nets()) w.str(net);
-    w.size(mod.instances().size());
-    for (const netlist::Instance& inst : mod.instances()) {
-      w.str(inst.name);
-      w.str(inst.master);
-      encode_string_map(inst.conn, w);
-      w.str(inst.power_domain);
-      w.str(inst.group);
-    }
-  }
-}
-
-std::shared_ptr<netlist::Design> decode_design(serde::Reader& r,
-                                               const CellLibrary* lib) {
-  auto d = std::make_shared<netlist::Design>(lib);
-  const std::string top = r.str();
-  const std::size_t nmod = r.size();
-  for (std::size_t i = 0; i < nmod && r.ok(); ++i) {
-    netlist::Module& mod = d->add_module(r.str());
-    const std::size_t nports = r.size();
-    for (std::size_t j = 0; j < nports && r.ok(); ++j) {
-      const std::string name = r.str();
-      mod.add_port(name, static_cast<PortDir>(r.u8()));
-    }
-    const std::size_t nnets = r.size();
-    for (std::size_t j = 0; j < nnets && r.ok(); ++j) {
-      mod.add_net(r.str());
-    }
-    const std::size_t ninst = r.size();
-    for (std::size_t j = 0; j < ninst && r.ok(); ++j) {
-      netlist::Instance inst;
-      inst.name = r.str();
-      inst.master = r.str();
-      if (!decode_string_map(r, inst.conn)) return nullptr;
-      inst.power_domain = r.str();
-      inst.group = r.str();
-      mod.add_instance(std::move(inst));
-    }
-  }
-  d->set_top(top);
-  return r.ok() ? d : nullptr;
 }
 
 // --- the stage-artifact codecs --------------------------------------------
 
-void encode_cell_library(const CellLibrary& lib, serde::Writer& w) {
-  encode_library(lib, w);
+template <typename T>
+void encode(const T& a, Writer& w) {
+  io(w, a);
 }
 
-std::shared_ptr<const CellLibrary> decode_cell_library(serde::Reader& r) {
-  auto lib = decode_library(r);
-  return (lib != nullptr && r.ok() && r.at_end()) ? lib : nullptr;
+/// One whole record: null unless every read succeeded and every byte was
+/// consumed.
+template <typename T>
+std::shared_ptr<const T> decode(Reader& r) {
+  auto a = std::make_shared<T>();
+  io(r, *a);
+  return (r.ok() && r.at_end()) ? a : nullptr;
 }
 
-void encode_design_bundle(const DesignBundle& b, serde::Writer& w) {
+template <typename T>
+void encode_flat(const T& a, Writer& w) {
+  CellLibrary lib;
+  io(w, a, lib);
+}
+
+/// The decoded artifact owns the embedded library its cells point into.
+template <typename T>
+std::shared_ptr<const T> decode_flat(Reader& r) {
+  auto lib = std::make_shared<CellLibrary>();
+  auto a = std::make_shared<T>();
+  io(r, *a, *lib);
+  if (!r.ok() || !r.at_end()) return nullptr;
+  a->owner = std::shared_ptr<const void>(lib);
+  return a;
+}
+
+void encode_design_bundle(const DesignBundle& b, Writer& w) {
   // A bundle with nulls is never cached (the netlist stage refuses it);
   // encode defensively anyway so a future misuse fails on decode, not UB.
   w.boolean(b.lib != nullptr && b.design != nullptr);
   if (b.lib == nullptr || b.design == nullptr) return;
-  encode_library(*b.lib, w);
-  encode_design(*b.design, w);
+  io(w, *b.lib);
+  io(w, *b.design);
 }
 
-std::shared_ptr<const DesignBundle> decode_design_bundle(serde::Reader& r) {
-  if (!r.boolean() || !r.ok()) return nullptr;
-  auto lib = decode_library(r);
-  if (lib == nullptr) return nullptr;
-  auto design = decode_design(r, lib.get());
-  if (design == nullptr || !r.ok() || !r.at_end()) return nullptr;
+std::shared_ptr<const DesignBundle> decode_design_bundle(Reader& r) {
+  if (!r.boolean()) return nullptr;
+  auto lib = std::make_shared<CellLibrary>();
+  io(r, *lib);
+  auto design = std::make_shared<netlist::Design>(lib.get());
+  io(r, *design);
+  if (!r.ok() || !r.at_end()) return nullptr;
   auto b = std::make_shared<DesignBundle>();
   b->lib = std::move(lib);
   b->design = std::move(design);
   return b;
 }
 
-void encode_floorplan_artifact(const synth::FloorplanStageResult& a,
-                               serde::Writer& w) {
-  encode_library(referenced_cells(a.flat), w);
-  encode_flat(a.flat, w);
-  encode_floorplan(a.fp, w);
-  w.str(a.floorplan_spec);
-}
-
-std::shared_ptr<const synth::FloorplanStageResult> decode_floorplan_artifact(
-    serde::Reader& r) {
-  auto lib = decode_library(r);
-  if (lib == nullptr) return nullptr;
-  auto a = std::make_shared<synth::FloorplanStageResult>();
-  if (!decode_flat(r, *lib, a->flat)) return nullptr;
-  if (!decode_floorplan(r, a->fp)) return nullptr;
-  a->floorplan_spec = r.str();
-  if (!r.ok() || !r.at_end()) return nullptr;
-  a->owner = std::shared_ptr<const void>(lib);
-  return a;
-}
-
-void encode_placement_artifact(const synth::Placement& pl, serde::Writer& w) {
-  encode_placement(pl, w);
-}
-
-std::shared_ptr<const synth::Placement> decode_placement_artifact(
-    serde::Reader& r) {
-  auto pl = std::make_shared<synth::Placement>();
-  if (!decode_placement(r, *pl) || !r.at_end()) return nullptr;
-  return pl;
-}
-
-void encode_synthesis_artifact(const synth::SynthesisResult& s,
-                               serde::Writer& w) {
-  w.str(s.floorplan_spec);
-  // Failed results (diagnostics, null layout) are never cached, so the
-  // persisted form carries a layout by construction; keep the flag so a
-  // hand-damaged record fails decode instead of crashing.
-  w.boolean(s.layout != nullptr);
-  if (s.layout != nullptr) {
-    encode_library(referenced_cells(s.layout->flat()), w);
-    encode_flat(s.layout->flat(), w);
-    encode_floorplan(s.layout->floorplan(), w);
-    encode_placement(s.layout->placement(), w);
-  }
-  encode_routing_estimate(s.routing, w);
-  encode_maze_result(s.detailed_routing, w);
-  encode_drc(s.drc, w);
-  encode_layout_stats(s.stats, w);
-}
-
-std::shared_ptr<const synth::SynthesisResult> decode_synthesis_artifact(
-    serde::Reader& r) {
-  auto s = std::make_shared<synth::SynthesisResult>();
-  s->floorplan_spec = r.str();
-  if (!r.boolean() || !r.ok()) return nullptr;
-  auto lib = decode_library(r);
-  if (lib == nullptr) return nullptr;
-  std::vector<FlatInstance> flat;
-  if (!decode_flat(r, *lib, flat)) return nullptr;
-  synth::Floorplan fp;
-  if (!decode_floorplan(r, fp)) return nullptr;
-  synth::Placement pl;
-  if (!decode_placement(r, pl)) return nullptr;
-  s->layout = std::make_unique<synth::Layout>(std::move(flat), std::move(fp),
-                                              std::move(pl));
-  if (!decode_routing_estimate(r, s->routing)) return nullptr;
-  if (!decode_maze_result(r, s->detailed_routing)) return nullptr;
-  if (!decode_drc(r, s->drc)) return nullptr;
-  s->stats = decode_layout_stats(r);
-  if (!r.ok() || !r.at_end()) return nullptr;
-  s->owner = std::shared_ptr<const void>(lib);
-  return s;
-}
-
-void encode_run_result(const RunResult& res, serde::Writer& w) {
-  w.f64(res.fin_hz);
-  w.f64(res.amplitude_v);
-  w.f64(res.full_scale_v);
-  w.size(res.mod.output.size());
-  for (const double v : res.mod.output) w.f64(v);
-  w.size(res.mod.counts.size());
-  for (const int v : res.mod.counts) w.i64(v);
-  w.size(res.mod.slice_bits.size());
-  for (const auto& bits : res.mod.slice_bits) {
-    w.size(bits.size());
-    std::uint8_t acc = 0;
-    int fill = 0;
-    for (const bool b : bits) {
-      acc = static_cast<std::uint8_t>(acc | ((b ? 1 : 0) << fill));
-      if (++fill == 8) {
-        w.u8(acc);
-        acc = 0;
-        fill = 0;
-      }
-    }
-    if (fill != 0) w.u8(acc);
-  }
-  w.f64(res.mod.mean_vctrlp);
-  w.f64(res.mod.mean_vctrln);
-  w.f64(res.mod.mean_freq1_hz);
-  w.f64(res.mod.mean_freq2_hz);
-  w.f64(res.mod.bit_toggle_rate);
-  w.size(res.spectrum.freq_hz.size());
-  for (const double v : res.spectrum.freq_hz) w.f64(v);
-  w.size(res.spectrum.power.size());
-  for (const double v : res.spectrum.power) w.f64(v);
-  w.size(res.spectrum.dbfs.size());
-  for (const double v : res.spectrum.dbfs) w.f64(v);
-  w.f64(res.spectrum.fs_hz);
-  w.f64(res.spectrum.bin_hz);
-  w.f64(res.spectrum.enbw_bins);
-  w.u8(static_cast<std::uint8_t>(res.spectrum.window));
-  w.f64(res.sndr.fundamental_hz);
-  w.f64(res.sndr.fundamental_dbfs);
-  w.f64(res.sndr.signal_power);
-  w.f64(res.sndr.nad_power);
-  w.f64(res.sndr.noise_power);
-  w.f64(res.sndr.distortion_power);
-  w.f64(res.sndr.sndr_db);
-  w.f64(res.sndr.snr_db);
-  w.f64(res.sndr.thd_db);
-  w.f64(res.sndr.sfdr_db);
-  w.f64(res.sndr.enob);
-  w.f64(res.shaping.db_per_decade);
-  w.f64(res.shaping.r_squared);
-  w.size(res.idle_tones.size());
-  for (const dsp::IdleTone& t : res.idle_tones) {
-    w.f64(t.freq_hz);
-    w.f64(t.dbfs);
-    w.f64(t.above_floor_db);
-  }
-  w.f64(res.power.vco_w);
-  w.f64(res.power.sampling_w);
-  w.f64(res.power.dac_drive_w);
-  w.f64(res.power.buffer_sw_w);
-  w.f64(res.power.wire_w);
-  w.f64(res.power.leakage_w);
-  w.f64(res.power.dac_static_w);
-  w.f64(res.power.buffer_bias_w);
-  w.f64(res.fom_fj);
-}
-
-std::shared_ptr<const RunResult> decode_run_result(serde::Reader& r) {
-  auto res = std::make_shared<RunResult>();
-  res->fin_hz = r.f64();
-  res->amplitude_v = r.f64();
-  res->full_scale_v = r.f64();
-  {
-    const std::size_t n = r.size();
-    res->mod.output.reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) {
-      res->mod.output.push_back(r.f64());
-    }
-  }
-  {
-    const std::size_t n = r.size();
-    res->mod.counts.reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) {
-      res->mod.counts.push_back(static_cast<int>(r.i64()));
-    }
-  }
-  {
-    const std::size_t nslices = r.size();
-    res->mod.slice_bits.reserve(nslices);
-    for (std::size_t i = 0; i < nslices && r.ok(); ++i) {
-      const std::size_t nbits = r.size();
-      std::vector<bool> bits;
-      bits.reserve(nbits);
-      std::uint8_t acc = 0;
-      for (std::size_t j = 0; j < nbits && r.ok(); ++j) {
-        if (j % 8 == 0) acc = r.u8();
-        bits.push_back(((acc >> (j % 8)) & 1) != 0);
-      }
-      res->mod.slice_bits.push_back(std::move(bits));
-    }
-  }
-  res->mod.mean_vctrlp = r.f64();
-  res->mod.mean_vctrln = r.f64();
-  res->mod.mean_freq1_hz = r.f64();
-  res->mod.mean_freq2_hz = r.f64();
-  res->mod.bit_toggle_rate = r.f64();
-  for (std::vector<double>* vec :
-       {&res->spectrum.freq_hz, &res->spectrum.power, &res->spectrum.dbfs}) {
-    const std::size_t n = r.size();
-    vec->reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) vec->push_back(r.f64());
-  }
-  res->spectrum.fs_hz = r.f64();
-  res->spectrum.bin_hz = r.f64();
-  res->spectrum.enbw_bins = r.f64();
-  res->spectrum.window = static_cast<dsp::WindowKind>(r.u8());
-  res->sndr.fundamental_hz = r.f64();
-  res->sndr.fundamental_dbfs = r.f64();
-  res->sndr.signal_power = r.f64();
-  res->sndr.nad_power = r.f64();
-  res->sndr.noise_power = r.f64();
-  res->sndr.distortion_power = r.f64();
-  res->sndr.sndr_db = r.f64();
-  res->sndr.snr_db = r.f64();
-  res->sndr.thd_db = r.f64();
-  res->sndr.sfdr_db = r.f64();
-  res->sndr.enob = r.f64();
-  res->shaping.db_per_decade = r.f64();
-  res->shaping.r_squared = r.f64();
-  {
-    const std::size_t n = r.size();
-    res->idle_tones.reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) {
-      dsp::IdleTone t;
-      t.freq_hz = r.f64();
-      t.dbfs = r.f64();
-      t.above_floor_db = r.f64();
-      res->idle_tones.push_back(t);
-    }
-  }
-  res->power.vco_w = r.f64();
-  res->power.sampling_w = r.f64();
-  res->power.dac_drive_w = r.f64();
-  res->power.buffer_sw_w = r.f64();
-  res->power.wire_w = r.f64();
-  res->power.leakage_w = r.f64();
-  res->power.dac_static_w = r.f64();
-  res->power.buffer_bias_w = r.f64();
-  res->fom_fj = r.f64();
-  if (!r.ok() || !r.at_end()) return nullptr;
-  return res;
-}
-
-void encode_hdl_emit_artifact(const HdlEmitResult& a, serde::Writer& w) {
-  // The emitted text is the payload of record; the parsed view is derived
-  // from it on decode and never serialized (so text and structure cannot
-  // drift on disk).
-  w.str(a.verilog);
-  w.str(a.top);
-  w.i64(a.instances_compared);
-  w.boolean(a.lib != nullptr);
-  if (a.lib != nullptr) encode_library(*a.lib, w);
-}
-
-std::shared_ptr<const HdlEmitResult> decode_hdl_emit_artifact(
-    serde::Reader& r) {
-  auto a = std::make_shared<HdlEmitResult>();
-  a->verilog = r.str();
-  a->top = r.str();
-  a->instances_compared = static_cast<int>(r.i64());
-  if (!r.boolean() || !r.ok()) return nullptr;
-  auto lib = decode_library(r);
-  if (lib == nullptr || !r.ok() || !r.at_end()) return nullptr;
-  auto parsed = std::make_shared<netlist::Design>(lib.get());
-  const netlist::ParseResult pr = netlist::parse_verilog(a->verilog, *parsed);
-  if (!pr.ok) return nullptr;  // corrupt-miss: stored text must re-parse
-  parsed->set_top(a->top);
-  if (parsed->find_module(a->top) == nullptr) return nullptr;
-  a->lib = std::move(lib);
-  a->parsed = std::move(parsed);
-  return a;
-}
-
-void encode_gate_sim_artifact(const GateSimResult& g, serde::Writer& w) {
-  w.boolean(g.comparator_ok);
-  w.f64(g.ring_period_s);
-  w.f64(g.ring_period_pred_s);
-  w.boolean(g.ring_ok);
-  w.size(g.n_samples);
-  w.i64(g.num_slices);
-  w.size(g.decoded.size());
-  for (const double v : g.decoded) w.f64(v);
-  w.size(g.decimated.size());
-  for (const double v : g.decimated) w.f64(v);
-  w.boolean(g.matches_behavioral);
-  w.u64(g.transitions);
-}
-
-std::shared_ptr<const GateSimResult> decode_gate_sim_artifact(
-    serde::Reader& r) {
-  auto g = std::make_shared<GateSimResult>();
-  g->comparator_ok = r.boolean();
-  g->ring_period_s = r.f64();
-  g->ring_period_pred_s = r.f64();
-  g->ring_ok = r.boolean();
-  g->n_samples = r.u64();
-  g->num_slices = static_cast<int>(r.i64());
-  for (std::vector<double>* vec : {&g->decoded, &g->decimated}) {
-    const std::size_t n = r.size();
-    vec->reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) vec->push_back(r.f64());
-  }
-  g->matches_behavioral = r.boolean();
-  g->transitions = r.u64();
-  if (!r.ok() || !r.at_end()) return nullptr;
-  return g;
-}
-
 }  // namespace
 
 const ArtifactCodec<CellLibrary>& cell_library_codec() {
   static const ArtifactCodec<CellLibrary> codec{
-      "cell_library", 1, &encode_cell_library, &decode_cell_library};
+      "cell_library", 1, &encode<CellLibrary>, &decode<CellLibrary>};
   return codec;
 }
 
@@ -779,37 +511,39 @@ const ArtifactCodec<DesignBundle>& design_bundle_codec() {
 
 const ArtifactCodec<synth::FloorplanStageResult>& floorplan_codec() {
   static const ArtifactCodec<synth::FloorplanStageResult> codec{
-      "floorplan", 1, &encode_floorplan_artifact, &decode_floorplan_artifact};
+      "floorplan", 1, &encode_flat<synth::FloorplanStageResult>,
+      &decode_flat<synth::FloorplanStageResult>};
   return codec;
 }
 
 const ArtifactCodec<synth::Placement>& placement_codec() {
   static const ArtifactCodec<synth::Placement> codec{
-      "placement", 1, &encode_placement_artifact, &decode_placement_artifact};
+      "placement", 1, &encode<synth::Placement>, &decode<synth::Placement>};
   return codec;
 }
 
 const ArtifactCodec<synth::SynthesisResult>& synthesis_codec() {
   static const ArtifactCodec<synth::SynthesisResult> codec{
-      "synthesis", 1, &encode_synthesis_artifact, &decode_synthesis_artifact};
+      "synthesis", 1, &encode_flat<synth::SynthesisResult>,
+      &decode_flat<synth::SynthesisResult>};
   return codec;
 }
 
 const ArtifactCodec<RunResult>& run_result_codec() {
   static const ArtifactCodec<RunResult> codec{
-      "run_result", 1, &encode_run_result, &decode_run_result};
+      "run_result", 1, &encode<RunResult>, &decode<RunResult>};
   return codec;
 }
 
 const ArtifactCodec<HdlEmitResult>& hdl_emit_codec() {
   static const ArtifactCodec<HdlEmitResult> codec{
-      "hdl_emit", 1, &encode_hdl_emit_artifact, &decode_hdl_emit_artifact};
+      "hdl_emit", 1, &encode<HdlEmitResult>, &decode<HdlEmitResult>};
   return codec;
 }
 
 const ArtifactCodec<GateSimResult>& gate_sim_codec() {
   static const ArtifactCodec<GateSimResult> codec{
-      "gate_sim", 1, &encode_gate_sim_artifact, &decode_gate_sim_artifact};
+      "gate_sim", 1, &encode<GateSimResult>, &decode<GateSimResult>};
   return codec;
 }
 

@@ -6,10 +6,21 @@
 // codec's version whenever its field list or order changes and old records
 // become version-skew misses instead of mis-decoding.
 //
+// One io() per struct: a function template lists the struct's fields once,
+// in record order; serde::Writer instantiates it to encode, serde::Reader
+// to decode, so the directions cannot disagree. Counts and values read
+// differently: an element count goes through a bounded call (vec, bits,
+// str_map), and one the remaining bytes cannot hold refuses the record; a
+// scalar size_t value is a plain u64. Written per direction is only what
+// one direction does alone: the Design and CellLibrary builder calls, the
+// cell-name-to-pointer step, and the decode checks below.
+//
 // Decoding is total: a malformed payload yields null (the flow treats it
-// as a corrupt-miss and rebuilds), never UB — serde::Reader bounds every
-// read, and decoders check ok() plus structural invariants (e.g. every
-// flat instance's cell name resolves in the embedded library).
+// as a corrupt-miss and rebuilds), never UB. serde::Reader bounds every
+// read; decoders refuse unread trailing bytes and check what a stage
+// indexes by: every flat instance's cell name resolves in the embedded
+// library, every region member indexes the flat vector, a layout has one
+// placed cell per flat instance, and HdlEmit text re-parses.
 //
 // Pointer policy: FlatInstance::cell points into a CellLibrary, so codecs
 // that carry flat instances embed the set of referenced StdCells as a

@@ -12,12 +12,21 @@
 // Reader is fail-safe, never throwing and never reading past the end: any
 // short or malformed read latches ok() to false and yields zeros, so a
 // truncated or corrupted record decodes to "reject and rebuild", not UB.
+//
+// Writer and Reader share one set of field calls (f64, boolean, str, i64
+// for an int, u64 for a scalar value, u8 for an enum, vec, bits, str_map),
+// so one function template per struct serves both directions
+// (artifact_serde.cpp). Element counts are bounded by the bytes left;
+// scalar values are not.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace vcoadc::core::serde {
@@ -56,6 +65,39 @@ class Writer {
   }
 
   void size(std::size_t n) { u64(n); }
+
+  template <typename E>
+    requires std::is_enum_v<E>
+  void u8(E e) {
+    u8(static_cast<std::uint8_t>(e));
+  }
+
+  /// Element count, then each element through `each`.
+  template <typename C, typename F>
+  void vec(const C& c, F&& each) {
+    size(c.size());
+    for (const auto& x : c) each(x);
+  }
+
+  /// Bit count, then the bits packed LSB-first, eight to a byte.
+  void bits(const std::vector<bool>& v) {
+    size(v.size());
+    for (std::size_t j = 0; j < v.size(); j += 8) {
+      std::uint8_t acc = 0;
+      for (std::size_t k = j; k < v.size() && k < j + 8; ++k) {
+        acc = static_cast<std::uint8_t>(acc | ((v[k] ? 1 : 0) << (k - j)));
+      }
+      u8(acc);
+    }
+  }
+
+  void str_map(const std::map<std::string, std::string>& m) {
+    size(m.size());
+    for (const auto& [k, v] : m) {
+      str(k);
+      str(v);
+    }
+  }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -132,6 +174,56 @@ class Reader {
       return 0;
     }
     return static_cast<std::size_t>(n);
+  }
+
+  /// Latches ok() to false: the bytes parsed but failed a structural check.
+  void fail() { ok_ = false; }
+
+  // --- the Writer's field calls, filling their argument -------------------
+
+  void f64(double& v) { v = f64(); }
+  void boolean(bool& v) { v = boolean(); }
+  void str(std::string& s) { s = str(); }
+  void i64(int& v) { v = static_cast<int>(i64()); }
+  void u64(std::uint64_t& v) { v = u64(); }
+
+  template <typename E>
+    requires std::is_enum_v<E>
+  void u8(E& e) {
+    e = static_cast<E>(u8());
+  }
+
+  template <typename T, typename F>
+  void vec(std::vector<T>& v, F&& each) {
+    const std::size_t n = size();
+    v.clear();
+    v.reserve(n);
+    for (std::size_t i = 0; i < n && ok_; ++i) each(v.emplace_back());
+  }
+
+  /// A bit count is bounded by the packed bytes it needs, not by one byte
+  /// per bit as size() would have it.
+  void bits(std::vector<bool>& v) {
+    const std::uint64_t n = u64();
+    if (!ok_ || n / 8 + (n % 8 != 0 ? 1 : 0) > remaining()) {
+      ok_ = false;
+      return;
+    }
+    v.assign(static_cast<std::size_t>(n), false);
+    std::uint8_t acc = 0;
+    for (std::size_t j = 0; j < v.size(); ++j) {
+      if (j % 8 == 0) acc = u8();
+      v[j] = ((acc >> (j % 8)) & 1) != 0;
+    }
+  }
+
+  void str_map(std::map<std::string, std::string>& m) {
+    const std::size_t n = size();
+    m.clear();
+    for (std::size_t i = 0; i < n && ok_; ++i) {
+      std::string k = str();
+      m[std::move(k)] = str();
+    }
   }
 
  private:

@@ -62,8 +62,9 @@ void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 Connection::~Connection() { close(); }
 
 Connection::Connection(Connection&& o) noexcept
-    : fd_(o.fd_), buf_(std::move(o.buf_)) {
+    : fd_(o.fd_), buf_(std::move(o.buf_)), scanned_(o.scanned_) {
   o.fd_ = -1;
+  o.scanned_ = 0;
 }
 
 Connection& Connection::operator=(Connection&& o) noexcept {
@@ -71,7 +72,9 @@ Connection& Connection::operator=(Connection&& o) noexcept {
     close();
     fd_ = o.fd_;
     buf_ = std::move(o.buf_);
+    scanned_ = o.scanned_;
     o.fd_ = -1;
+    o.scanned_ = 0;
   }
   return *this;
 }
@@ -82,6 +85,7 @@ void Connection::close() {
     fd_ = -1;
   }
   buf_.clear();
+  scanned_ = 0;
 }
 
 Connection::ReadStatus Connection::read_line(std::string* line,
@@ -89,13 +93,16 @@ Connection::ReadStatus Connection::read_line(std::string* line,
                                              int poll_ms) {
   if (fd_ < 0) return ReadStatus::kError;
   while (true) {
-    const std::size_t nl = buf_.find('\n');
+    // Only bytes appended since the last scan can hold the terminator.
+    const std::size_t nl = buf_.find('\n', scanned_);
     if (nl != std::string::npos) {
       line->assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
+      scanned_ = 0;
       if (!line->empty() && line->back() == '\r') line->pop_back();
       return ReadStatus::kLine;
     }
+    scanned_ = buf_.size();
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
       return ReadStatus::kStop;
     }

@@ -79,6 +79,7 @@ class Connection {
  private:
   int fd_ = -1;
   std::string buf_;  ///< bytes read past the last returned line
+  std::size_t scanned_ = 0;  ///< leading bytes of buf_ known to hold no '\n'
 };
 
 /// Listening socket over either endpoint kind. A stale unix socket file

@@ -16,10 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "core/artifact_serde.h"
 #include "core/eval.h"
 #include "core/flow.h"
-#include "core/serde.h"
 #include "util/diag.h"
 #include "util/json.h"
 
@@ -338,174 +336,12 @@ TEST(ArtifactStoreTest, GcUnderBoundEvictsNothing) {
   EXPECT_TRUE(store.load(kKey, "unit", 1, &loaded));
 }
 
-// --- typed codec round-trips ----------------------------------------------
-
 core::AdcSpec small_spec() {
   core::AdcSpec spec = core::AdcSpec::paper_40nm();
   spec.num_slices = 6;
   spec.fs_hz = 400e6;
   spec.bandwidth_hz = 2e6;
   return spec;
-}
-
-TEST(ArtifactSerdeTest, CellLibraryRoundTripsBitExactly) {
-  core::ExecContext ctx;
-  core::Flow flow(ctx);
-  const auto lib = flow.tech_library(small_spec());
-  ASSERT_NE(lib, nullptr);
-
-  const auto& codec = core::cell_library_codec();
-  core::serde::Writer w;
-  codec.encode(*lib, w);
-  core::serde::Reader r(w.bytes());
-  const auto back = codec.decode(r);
-  ASSERT_NE(back, nullptr);
-
-  // Re-encoding the decoded library must produce the same bytes: the
-  // canonical form is a fixed point, which is what makes store records
-  // stable across processes.
-  core::serde::Writer w2;
-  codec.encode(*back, w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
-  EXPECT_EQ(back->cells().size(), lib->cells().size());
-}
-
-TEST(ArtifactSerdeTest, RunResultRoundTripsBitExactly) {
-  core::ExecContext ctx;
-  core::Flow flow(ctx);
-  core::SimulationOptions sim;
-  sim.n_samples = 1 << 12;
-  const auto run = flow.sim_run(small_spec(), sim);
-  ASSERT_NE(run, nullptr);
-
-  const auto& codec = core::run_result_codec();
-  core::serde::Writer w;
-  codec.encode(*run, w);
-  core::serde::Reader r(w.bytes());
-  const auto back = codec.decode(r);
-  ASSERT_NE(back, nullptr);
-
-  EXPECT_EQ(back->sndr.sndr_db, run->sndr.sndr_db);  // bit-exact, not near
-  EXPECT_EQ(back->fom_fj, run->fom_fj);
-  EXPECT_EQ(back->mod.output, run->mod.output);
-  EXPECT_EQ(back->spectrum.dbfs, run->spectrum.dbfs);
-  core::serde::Writer w2;
-  codec.encode(*back, w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-TEST(ArtifactSerdeTest, SynthesisResultRoundTripRepointsCells) {
-  core::ExecContext ctx;
-  core::Flow flow(ctx);
-  const auto res = flow.synthesis(small_spec());
-  ASSERT_NE(res, nullptr);
-  ASSERT_NE(res->layout, nullptr);
-
-  const auto& codec = core::synthesis_codec();
-  core::serde::Writer w;
-  codec.encode(*res, w);
-  core::serde::Reader r(w.bytes());
-  const auto back = codec.decode(r);
-  ASSERT_NE(back, nullptr);
-  ASSERT_NE(back->layout, nullptr);
-
-  const auto& flat = res->layout->flat();
-  const auto& flat2 = back->layout->flat();
-  ASSERT_EQ(flat2.size(), flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    ASSERT_NE(flat2[i].cell, nullptr);
-    // Pointers were re-aimed at the embedded library, but the pointee
-    // carries the same cell definition.
-    EXPECT_EQ(flat2[i].cell->name, flat[i].cell->name);
-    EXPECT_EQ(flat2[i].cell->width_m, flat[i].cell->width_m);
-  }
-  EXPECT_EQ(back->stats.die_area_m2, res->stats.die_area_m2);
-  EXPECT_EQ(back->drc.violations.size(), res->drc.violations.size());
-  EXPECT_EQ(back->detailed_routing.total_vias, res->detailed_routing.total_vias);
-}
-
-TEST(ArtifactSerdeTest, HdlEmitRoundTripReparsesTheStoredText) {
-  core::AdcSpec spec = small_spec();
-  spec.num_slices = 4;
-  core::ExecContext ctx;
-  core::Flow flow(ctx);
-  const auto hdl = flow.hdl_emit(spec);
-  ASSERT_NE(hdl, nullptr);
-
-  const auto& codec = core::hdl_emit_codec();
-  core::serde::Writer w;
-  codec.encode(*hdl, w);
-  core::serde::Reader r(w.bytes());
-  const auto back = codec.decode(r);
-  ASSERT_NE(back, nullptr);
-
-  // The text is the artifact of record: byte-identical through the store,
-  // and the decoded view is re-parsed from it (same top, same modules).
-  EXPECT_EQ(back->verilog, hdl->verilog);
-  EXPECT_EQ(back->top, hdl->top);
-  EXPECT_EQ(back->instances_compared, hdl->instances_compared);
-  ASSERT_NE(back->parsed, nullptr);
-  EXPECT_EQ(back->parsed->top(), hdl->parsed->top());
-  EXPECT_EQ(back->parsed->modules().size(), hdl->parsed->modules().size());
-  core::serde::Writer w2;
-  codec.encode(*back, w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
-
-  // Corrupting the stored text past parseability is a decode miss, not a
-  // half-parsed design: the codec's re-parse is the integrity check.
-  core::HdlEmitResult mangled = *hdl;
-  mangled.verilog = "module broken (;"; // unparseable on purpose
-  core::serde::Writer wm;
-  codec.encode(mangled, wm);
-  core::serde::Reader rm(wm.bytes());
-  EXPECT_EQ(codec.decode(rm), nullptr);
-}
-
-TEST(ArtifactSerdeTest, GateSimResultRoundTripsBitExactly) {
-  core::AdcSpec spec = small_spec();
-  spec.num_slices = 4;
-  core::ExecContext ctx;
-  core::Flow flow(ctx);
-  core::GateSimOptions gopts;
-  gopts.sim.n_samples = 64;
-  const auto gate = flow.gate_sim(spec, gopts);
-  ASSERT_NE(gate, nullptr);
-
-  const auto& codec = core::gate_sim_codec();
-  core::serde::Writer w;
-  codec.encode(*gate, w);
-  core::serde::Reader r(w.bytes());
-  const auto back = codec.decode(r);
-  ASSERT_NE(back, nullptr);
-
-  EXPECT_EQ(back->comparator_ok, gate->comparator_ok);
-  EXPECT_EQ(back->ring_period_s, gate->ring_period_s);  // bit-exact f64
-  EXPECT_EQ(back->ring_period_pred_s, gate->ring_period_pred_s);
-  EXPECT_EQ(back->ring_ok, gate->ring_ok);
-  EXPECT_EQ(back->n_samples, gate->n_samples);
-  EXPECT_EQ(back->num_slices, gate->num_slices);
-  EXPECT_EQ(back->decoded, gate->decoded);
-  EXPECT_EQ(back->decimated, gate->decimated);
-  EXPECT_EQ(back->matches_behavioral, gate->matches_behavioral);
-  EXPECT_EQ(back->transitions, gate->transitions);
-  core::serde::Writer w2;
-  codec.encode(*back, w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-TEST(ArtifactSerdeTest, DecoderRejectsTruncatedPayload) {
-  core::ExecContext ctx;
-  core::Flow flow(ctx);
-  const auto lib = flow.tech_library(small_spec());
-  ASSERT_NE(lib, nullptr);
-  const auto& codec = core::cell_library_codec();
-  core::serde::Writer w;
-  codec.encode(*lib, w);
-
-  std::vector<std::uint8_t> cut(w.bytes().begin(),
-                                w.bytes().begin() + w.bytes().size() / 2);
-  core::serde::Reader r(cut);
-  EXPECT_EQ(codec.decode(r), nullptr);  // null, never UB
 }
 
 // --- the cross-process acceptance test ------------------------------------

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -236,6 +237,44 @@ TEST(ServeSocketTest, MidLineDisconnectIsDroppedNotDispatched) {
   // this connection).
   EXPECT_EQ(server.handler.calls.load(), 1);
   EXPECT_EQ(server.result.stats.requests, 1u);
+  EXPECT_TRUE(server.result.clean) << server.result.error;
+}
+
+// A 4 MiB line trickling in through small writes comes back whole, and
+// the line pipelined behind it is still read. Each read scans only the
+// bytes it appended, so the long line costs one pass over the buffer.
+TEST(ServeSocketTest, LongLineInSmallWritesArrivesIntactBeforeAPipelinedOne) {
+  const std::string path = temp_sock_path("longline");
+  const Endpoint ep = util::net::parse_endpoint(path);
+  ServerFixture server(ep);
+  ASSERT_TRUE(server.listener.valid());
+
+  std::string big(std::size_t{4} << 20, 'x');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + i % 26);
+  }
+  std::string err;
+  Connection conn = util::net::dial(ep, &err);
+  ASSERT_TRUE(conn.valid()) << err;
+  constexpr std::size_t kChunk = 1000;
+  const std::string_view view(big);
+  for (std::size_t off = 0; off < big.size(); off += kChunk) {
+    ASSERT_TRUE(conn.write_all(view.substr(off, kChunk)));
+  }
+  // The CR ends one write; the LF opens the next, which also carries the
+  // pipelined second request.
+  ASSERT_TRUE(conn.write_all("\r"));
+  ASSERT_TRUE(conn.write_all("\nsecond\n"));
+
+  std::string resp;
+  ASSERT_EQ(conn.read_line(&resp), Connection::ReadStatus::kLine);
+  EXPECT_EQ(resp.size(), big.size() + 5);
+  EXPECT_TRUE(resp == "echo:" + big);  // EXPECT_EQ would print 8 MiB
+  ASSERT_EQ(conn.read_line(&resp), Connection::ReadStatus::kLine);
+  EXPECT_EQ(resp, "echo:second");
+  conn.close();
+  server.shutdown();
+  EXPECT_EQ(server.handler.calls.load(), 2);
   EXPECT_TRUE(server.result.clean) << server.result.error;
 }
 
