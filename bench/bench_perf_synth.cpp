@@ -88,12 +88,13 @@ double total_hpwl_string_map(const std::vector<netlist::FlatInstance>& flat,
   return total;
 }
 
+// synth::synthesize() on the design's netlist, not AdcDesign::synthesize():
+// the latter goes through the stage cache, so every timed call after the
+// first would be a cache hit, not the flow.
 void BM_Synthesize(benchmark::State& state) {
-  const double nm = static_cast<double>(state.range(0));
-  core::AdcDesign adc(nm == 40 ? core::AdcSpec::paper_40nm()
-                               : core::AdcSpec::paper_180nm());
+  auto& f = NodeFixture::at(static_cast<double>(state.range(0)));
   for (auto _ : state) {
-    auto res = adc.synthesize();
+    auto res = synth::synthesize(f.adc.netlist(), {});
     benchmark::DoNotOptimize(res.stats.die_area_m2);
   }
 }
@@ -198,11 +199,11 @@ void emit_summary() {
     parallel_ok &=
         routing_identical(res.detailed_routing, res4.detailed_routing);
 
+    auto& f = NodeFixture::at(nm);
     synth_ms[idx] = time_ms([&] {
-      auto r = adc.synthesize();
+      auto r = synth::synthesize(f.adc.netlist(), {});
       benchmark::DoNotOptimize(r.stats.die_area_m2);
     });
-    auto& f = NodeFixture::at(nm);
     place_ms[idx] = time_ms([&] {
       auto pl = synth::place(f.flat, f.fp, {}, f.db);
       benchmark::DoNotOptimize(pl.cells.data());

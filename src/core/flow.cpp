@@ -683,6 +683,12 @@ std::shared_ptr<const synth::FloorplanStageResult> Flow::floorplan(
           art->fp.die.w > 0 && art->fp.die.h > 0)) {
       post.push_back(error_diag("floorplan", "die",
                                 "degenerate die dimensions"));
+    } else if (std::string too_big = synth::route_grid_limit_error(
+                   art->fp.die, synth::default_route_pitch(art->flat));
+               !too_big.empty()) {
+      // Reached only by an artifact from the cache or the store: a fresh
+      // build refuses such a die itself.
+      post.push_back(error_diag("floorplan", "die", std::move(too_big)));
     }
     if (!post.empty()) {
       report_diags(ctx_, post);

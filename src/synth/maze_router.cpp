@@ -4,6 +4,13 @@
 
 namespace vcoadc::synth {
 
+double default_route_pitch(const std::vector<netlist::FlatInstance>& flat) {
+  for (const netlist::FlatInstance& fi : flat) {
+    if (!fi.cell->is_resistor) return fi.cell->height_m;
+  }
+  return 1e-6;
+}
+
 MazeRouteResult maze_route(const std::vector<netlist::FlatInstance>& flat,
                            const Placement& pl, const Rect& die,
                            const MazeRouterOptions& opts) {
@@ -14,18 +21,8 @@ MazeRouteResult maze_route(const std::vector<netlist::FlatInstance>& flat,
 MazeRouteResult maze_route(const std::vector<netlist::FlatInstance>& flat,
                            const Placement& pl, const Rect& die,
                            const MazeRouterOptions& opts, const NetDb& db) {
-  double pitch = opts.grid_pitch_m;
-  if (pitch <= 0) {
-    // Default: one grid row per cell row.
-    double row_h = 1e-6;
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      if (!flat[i].cell->is_resistor) {
-        row_h = flat[i].cell->height_m;
-        break;
-      }
-    }
-    pitch = row_h;
-  }
+  const double pitch =
+      opts.grid_pitch_m > 0 ? opts.grid_pitch_m : default_route_pitch(flat);
   RouteGrid g(die, pitch);
 
   // Collect signal nets with snapped, deduplicated pins. Net ids ascend in

@@ -24,6 +24,10 @@
 
 namespace vcoadc::synth {
 
+/// Grid pitch the router uses when MazeRouterOptions::grid_pitch_m is 0:
+/// one grid row per cell row (the first non-resistor cell's height).
+double default_route_pitch(const std::vector<netlist::FlatInstance>& flat);
+
 /// Routes all multi-pin signal nets of a placed design.
 MazeRouteResult maze_route(const std::vector<netlist::FlatInstance>& flat,
                            const Placement& pl, const Rect& die,

@@ -1,9 +1,11 @@
 #include "synth/route_grid.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "util/thread_pool.h"
 
@@ -34,15 +36,40 @@ void adjust_usage(RouteGrid& g, const std::vector<GridPoint>& path,
   }
 }
 
+/// Grid nodes along one axis of `extent` metres. Past 2^30 (far beyond
+/// kMaxRouteGridNodes) the count saturates, which keeps the conversion and
+/// route_grid_nodes' product defined; NaN saturates too.
+std::int64_t axis_nodes(double extent, double pitch) {
+  const double n = std::ceil(extent / pitch) + 1.0;
+  if (!(n < 1073741824.0)) return std::int64_t{1} << 30;
+  return std::max<std::int64_t>(2, static_cast<std::int64_t>(n));
+}
+
 }  // namespace
+
+std::int64_t route_grid_nodes(const Rect& die, double pitch_m) {
+  return 2 * axis_nodes(die.w, pitch_m) * axis_nodes(die.h, pitch_m);
+}
+
+std::string route_grid_limit_error(const Rect& die, double pitch_m) {
+  const std::int64_t nodes = route_grid_nodes(die, pitch_m);
+  if (nodes <= kMaxRouteGridNodes) return {};
+  return "routing grid of " + std::to_string(nodes) +
+         " nodes exceeds the limit of " + std::to_string(kMaxRouteGridNodes);
+}
 
 RouteGrid::RouteGrid(const Rect& die_rect, double pitch_m) {
   die = die_rect;
   pitch = pitch_m;
-  nx = std::max(2, static_cast<int>(std::ceil(die.w / pitch)) + 1);
-  ny = std::max(2, static_cast<int>(std::ceil(die.h / pitch)) + 1);
-  h_use.assign(static_cast<std::size_t>((nx - 1) * ny), 0);
-  v_use.assign(static_cast<std::size_t>(nx * (ny - 1)), 0);
+  if (std::string e = route_grid_limit_error(die, pitch); !e.empty()) {
+    throw std::length_error(e);
+  }
+  const std::int64_t gx = axis_nodes(die.w, pitch);
+  const std::int64_t gy = axis_nodes(die.h, pitch);
+  nx = static_cast<int>(gx);
+  ny = static_cast<int>(gy);
+  h_use.assign(static_cast<std::size_t>((gx - 1) * gy), 0);
+  v_use.assign(static_cast<std::size_t>(gx * (gy - 1)), 0);
   h_hist.assign(h_use.size(), 0.0);
   v_hist.assign(v_use.size(), 0.0);
 }
@@ -55,6 +82,126 @@ GridPoint RouteGrid::snap(double mx, double my) const {
   return p;
 }
 
+void OpenList::bind(int n_nodes) {
+  const std::size_t n_bits = (static_cast<std::size_t>(n_nodes) + 63) / 64;
+  if (bits_.size() < n_bits) {
+    bits_.assign(n_bits, 0);
+    words_.assign((n_bits + 63) / 64, 0);
+    front_n_ = 0;
+  }
+  clear();
+}
+
+void OpenList::clear() {
+  if (front_n_ > 0) {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t m = words_[w]; m != 0; m &= m - 1) {
+        bits_[w * 64 + static_cast<std::size_t>(std::countr_zero(m))] = 0;
+      }
+      words_[w] = 0;
+    }
+  }
+  lo_word_ = words_.size();
+  front_n_ = 0;
+  // +inf: the first push always lands below it and opens the front.
+  front_f_ = std::numeric_limits<double>::infinity();
+  later_.clear();
+  links_.clear();
+  free_ = -1;
+}
+
+void OpenList::set_front(int id) {
+  const auto w = static_cast<std::size_t>(id) / 64;
+  const std::uint64_t m = std::uint64_t{1} << (id % 64);
+  if ((bits_[w] & m) != 0) return;  // an equal (f, id) is already open
+  bits_[w] |= m;
+  words_[w / 64] |= std::uint64_t{1} << (w % 64);
+  lo_word_ = std::min(lo_word_, w / 64);
+  ++front_n_;
+}
+
+int OpenList::new_link(int id, int next) {
+  if (free_ < 0) {
+    links_.push_back({id, next});
+    return static_cast<int>(links_.size()) - 1;
+  }
+  const int link = free_;
+  free_ = links_[static_cast<std::size_t>(link)].next;
+  links_[static_cast<std::size_t>(link)] = {id, next};
+  return link;
+}
+
+void OpenList::demote_front() {
+  // front_f_ is below every later bucket, so its bucket goes last.
+  Bucket b{front_f_, -1};
+  for (std::size_t sw = lo_word_; sw < words_.size(); ++sw) {
+    for (std::uint64_t ms = words_[sw]; ms != 0; ms &= ms - 1) {
+      const std::size_t w =
+          sw * 64 + static_cast<std::size_t>(std::countr_zero(ms));
+      for (std::uint64_t m = bits_[w]; m != 0; m &= m - 1) {
+        b.head = new_link(static_cast<int>(w * 64) + std::countr_zero(m),
+                          b.head);
+      }
+      bits_[w] = 0;
+    }
+    words_[sw] = 0;
+  }
+  later_.push_back(b);
+  lo_word_ = words_.size();
+  front_n_ = 0;
+}
+
+void OpenList::push(double f, int id) {
+  if (f == front_f_) {
+    set_front(id);
+    return;
+  }
+  if (f < front_f_) {
+    if (front_n_ > 0) demote_front();
+    front_f_ = f;
+    set_front(id);
+    return;
+  }
+  // Later bucket: most pushes land within a few f steps of the front, so
+  // the search runs from the small end (the back).
+  std::size_t i = later_.size();
+  while (i > 0 && later_[i - 1].f < f) --i;
+  if (i > 0 && later_[i - 1].f == f) {
+    later_[i - 1].head = new_link(id, later_[i - 1].head);
+  } else {
+    later_.insert(later_.begin() + static_cast<std::ptrdiff_t>(i),
+                  Bucket{f, new_link(id, -1)});
+  }
+}
+
+bool OpenList::pop(double* f, int* id) {
+  if (front_n_ == 0) {
+    if (later_.empty()) return false;
+    // Promote the smallest later bucket; its links go back to the free
+    // list.
+    const Bucket b = later_.back();
+    later_.pop_back();
+    front_f_ = b.f;
+    int tail = -1;
+    for (int l = b.head; l >= 0; l = links_[static_cast<std::size_t>(l)].next) {
+      set_front(links_[static_cast<std::size_t>(l)].id);
+      tail = l;
+    }
+    links_[static_cast<std::size_t>(tail)].next = free_;
+    free_ = b.head;
+  }
+  while (words_[lo_word_] == 0) ++lo_word_;
+  const std::size_t w =
+      lo_word_ * 64 +
+      static_cast<std::size_t>(std::countr_zero(words_[lo_word_]));
+  *id = static_cast<int>(w * 64) + std::countr_zero(bits_[w]);
+  *f = front_f_;
+  bits_[w] &= bits_[w] - 1;
+  if (bits_[w] == 0) words_[lo_word_] &= ~(std::uint64_t{1} << (w % 64));
+  --front_n_;
+  return true;
+}
+
 void SearchScratch::bind(int n_nodes) {
   const auto n = static_cast<std::size_t>(n_nodes);
   if (stamp.size() < n) {
@@ -65,6 +212,7 @@ void SearchScratch::bind(int n_nodes) {
     epoch = 0;
     tree_epoch = 0;
   }
+  open.bind(n_nodes);
 }
 
 void SearchScratch::new_tree() {
@@ -124,29 +272,35 @@ std::vector<GridPoint> astar_search(const RouteGrid& g, SearchScratch& s,
     return static_cast<double>(dx + dy) + via_cost * vias_lb;
   };
 
-  using QE = std::pair<double, int>;  // (f = g + h, node id)
-  s.heap.clear();
+  // The open list pops in (f, node id) order; see OpenList.
+  OpenList& open = s.open;
+  open.clear();
   for (int id : s.tree_nodes) {
     const auto u = static_cast<std::size_t>(id);
     s.dist[u] = 0;
     s.prev[u] = -1;
     s.stamp[u] = s.epoch;
     const GridPoint p = g.from_id(id);
-    s.heap.push_back({heuristic(p.x, p.y, p.layer), id});
+    open.push(heuristic(p.x, p.y, p.layer), id);
   }
-  std::make_heap(s.heap.begin(), s.heap.end(), std::greater<QE>());
 
+  // Node ids are x + nx * (y + ny * layer): neighbours are +/-1 (x),
+  // +/-nx (y) and +/-plane (via), and decoding takes one division.
+  const int nx = g.nx;
+  const int plane = g.nx * g.ny;
   const int target_id0 = g.node_id({tx, ty, 0});
-  GridPoint t1{tx, ty, 1};
-  const int target_id1 = g.node_id(t1);
+  const int target_id1 = target_id0 + plane;
 
-  while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<QE>());
-    const auto [f, u] = s.heap.back();
-    s.heap.pop_back();
+  double f = 0;
+  int u = 0;
+  while (open.pop(&f, &u)) {
     const auto ui = static_cast<std::size_t>(u);
-    const GridPoint p = g.from_id(u);
-    if (f > s.dist[ui] + heuristic(p.x, p.y, p.layer)) continue;  // stale
+    const int layer = u >= plane ? 1 : 0;
+    const int xy = u - layer * plane;
+    const int y = xy / nx;
+    const int x = xy - y * nx;
+    const double du = s.dist[ui];
+    if (f > du + heuristic(x, y, layer)) continue;  // stale
     if (u == target_id0 || u == target_id1) {
       std::vector<GridPoint> path;
       for (int cur = u; cur != -1;
@@ -157,52 +311,42 @@ std::vector<GridPoint> astar_search(const RouteGrid& g, SearchScratch& s,
       std::reverse(path.begin(), path.end());
       return path;
     }
-    auto relax = [&](const GridPoint& q, double w) {
-      const int v = g.node_id(q);
+    auto relax = [&](int v, int qx, int qy, int ql, double w) {
       const auto vi = static_cast<std::size_t>(v);
-      const double nd = s.dist[ui] + w;
+      const double nd = du + w;
       if (s.stamp[vi] != s.epoch || nd < s.dist[vi]) {
         s.dist[vi] = nd;
         s.prev[vi] = u;
         s.stamp[vi] = s.epoch;
-        s.heap.push_back({nd + heuristic(q.x, q.y, q.layer), v});
-        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<QE>());
+        open.push(nd + heuristic(qx, qy, ql), v);
       }
     };
-    if (p.layer == 0) {
+    if (layer == 0) {
       // Horizontal moves.
-      if (p.x > win.x0) {
-        relax({p.x - 1, p.y, 0},
-              route_edge_cost(
-                  g.h_use[static_cast<std::size_t>(g.h_idx(p.x - 1, p.y))],
-                  g.h_hist[static_cast<std::size_t>(g.h_idx(p.x - 1, p.y))],
-                  cap, pressure));
+      if (x > win.x0) {
+        const auto e = static_cast<std::size_t>(g.h_idx(x - 1, y));
+        relax(u - 1, x - 1, y, 0,
+              route_edge_cost(g.h_use[e], g.h_hist[e], cap, pressure));
       }
-      if (p.x < win.x1) {
-        relax({p.x + 1, p.y, 0},
-              route_edge_cost(
-                  g.h_use[static_cast<std::size_t>(g.h_idx(p.x, p.y))],
-                  g.h_hist[static_cast<std::size_t>(g.h_idx(p.x, p.y))],
-                  cap, pressure));
+      if (x < win.x1) {
+        const auto e = static_cast<std::size_t>(g.h_idx(x, y));
+        relax(u + 1, x + 1, y, 0,
+              route_edge_cost(g.h_use[e], g.h_hist[e], cap, pressure));
       }
-      relax({p.x, p.y, 1}, via_cost);
+      relax(u + plane, x, y, 1, via_cost);
     } else {
       // Vertical moves.
-      if (p.y > win.y0) {
-        relax({p.x, p.y - 1, 1},
-              route_edge_cost(
-                  g.v_use[static_cast<std::size_t>(g.v_idx(p.x, p.y - 1))],
-                  g.v_hist[static_cast<std::size_t>(g.v_idx(p.x, p.y - 1))],
-                  cap, pressure));
+      if (y > win.y0) {
+        const auto e = static_cast<std::size_t>(g.v_idx(x, y - 1));
+        relax(u - nx, x, y - 1, 1,
+              route_edge_cost(g.v_use[e], g.v_hist[e], cap, pressure));
       }
-      if (p.y < win.y1) {
-        relax({p.x, p.y + 1, 1},
-              route_edge_cost(
-                  g.v_use[static_cast<std::size_t>(g.v_idx(p.x, p.y))],
-                  g.v_hist[static_cast<std::size_t>(g.v_idx(p.x, p.y))],
-                  cap, pressure));
+      if (y < win.y1) {
+        const auto e = static_cast<std::size_t>(g.v_idx(x, y));
+        relax(u + nx, x, y + 1, 1,
+              route_edge_cost(g.v_use[e], g.v_hist[e], cap, pressure));
       }
-      relax({p.x, p.y, 0}, via_cost);
+      relax(u - plane, x, y, 0, via_cost);
     }
   }
   return {};

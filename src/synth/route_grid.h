@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,21 @@ struct NetPins {
   double hpwl = 0;
 };
 
+/// Largest routing grid, in nodes over both layers, that the flow builds:
+/// about 48x the ~86 k nodes of a 64-slice 40 nm die at the default
+/// utilization. Each node costs ~20 bytes of search scratch per routing
+/// thread plus ~12 bytes of grid state. The floorplan stage refuses a die
+/// past it before placement.
+inline constexpr std::int64_t kMaxRouteGridNodes = std::int64_t{1} << 22;
+
+/// Node count over both layers of RouteGrid(die, pitch_m), computed in
+/// 64-bit so that no die size can overflow it.
+std::int64_t route_grid_nodes(const Rect& die, double pitch_m);
+
+/// Why RouteGrid(die, pitch_m) would exceed kMaxRouteGridNodes, naming its
+/// node count; empty when the grid fits.
+std::string route_grid_limit_error(const Rect& die, double pitch_m);
+
 /// The routing grid: geometry plus per-edge usage and history cost.
 /// Horizontal edges live on layer 0, vertical edges on layer 1.
 struct RouteGrid {
@@ -104,6 +120,7 @@ struct RouteGrid {
 
   RouteGrid() = default;
   /// Builds an empty grid covering `die` at `pitch` (>= 2x2 nodes).
+  /// Throws std::length_error past kMaxRouteGridNodes.
   RouteGrid(const Rect& die_rect, double pitch_m);
 
   int h_idx(int x, int y) const { return y * (nx - 1) + x; }
@@ -134,10 +151,64 @@ inline double route_edge_cost(int use, double hist, int cap,
   return c;
 }
 
+/// The A* open list: a monotone bucket queue over (f, node id) entries
+/// that pops in exactly the lexicographic (f, id) order a binary min-heap
+/// of std::pair<double, int> would, for any push sequence. Buckets are
+/// keyed by exact double equality (no quantizing).
+///
+///   * The front bucket holds every open entry whose f equals `front_f_`,
+///     as a two-level bitset over node ids: a pop is two
+///     count-trailing-zeros, smallest id first.
+///   * Every later bucket (f > front_f_) is a singly linked list of ids
+///     threaded through one flat arena, with freed links recycled.
+///   * A push below front_f_ (multi-source tree seeding, or float rounding
+///     of an otherwise consistent heuristic) demotes the front bucket to a
+///     later one. When the front drains, front_f_ stays put until the next
+///     pop, so an equal-f push while it is empty still merges into the
+///     matching later bucket.
+///
+/// Memory: n_nodes bits plus n_nodes / 64 summary bits, and at most one
+/// arena link per entry waiting in a later bucket. All of it keeps its
+/// capacity across searches.
+class OpenList {
+ public:
+  /// Sizes the bitset for node ids in [0, n_nodes); keeps the larger size.
+  void bind(int n_nodes);
+  /// Empties the list (O(bitset summary) + O(later buckets)).
+  void clear();
+  void push(double f, int id);
+  /// Removes the smallest (f, id); false when the list is empty.
+  bool pop(double* f, int* id);
+
+ private:
+  struct Link {
+    int id = 0;
+    int next = -1;
+  };
+  struct Bucket {
+    double f = 0;
+    int head = -1;  ///< first link in `links_`
+  };
+
+  void set_front(int id);
+  void demote_front();
+  /// A link {id, next}, taken from the free list when it has one.
+  int new_link(int id, int next);
+
+  std::vector<std::uint64_t> bits_;   ///< bit id: id is in the front bucket
+  std::vector<std::uint64_t> words_;  ///< bit w: bits_[w] != 0
+  std::size_t lo_word_ = 0;  ///< no words_ entry below this is nonzero
+  int front_n_ = 0;          ///< ids in the front bucket
+  double front_f_ = std::numeric_limits<double>::infinity();
+  std::vector<Bucket> later_;  ///< f strictly descending, all > front_f_
+  std::vector<Link> links_;
+  int free_ = -1;  ///< head of the recycled-link list
+};
+
 /// Per-thread search scratch: dist/prev arrays validated by an epoch stamp
 /// (so a new search is O(touched) instead of O(grid) to reset), the current
 /// net's route tree as an epoch-stamped mask + node list, and the reusable
-/// A* heap storage.
+/// A* open list.
 struct SearchScratch {
   std::vector<double> dist;
   std::vector<int> prev;
@@ -145,8 +216,8 @@ struct SearchScratch {
   std::vector<std::uint32_t> tree_mark;  ///< in tree iff == tree_epoch
   std::uint32_t epoch = 0;
   std::uint32_t tree_epoch = 0;
-  std::vector<int> tree_nodes;                 ///< current tree, add order
-  std::vector<std::pair<double, int>> heap;    ///< A* open list storage
+  std::vector<int> tree_nodes;  ///< current tree, add order
+  OpenList open;
 
   /// Ensures capacity for `n_nodes`; keeps stamps valid when shrinking.
   void bind(int n_nodes);

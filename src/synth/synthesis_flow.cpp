@@ -1,6 +1,7 @@
 #include "synth/synthesis_flow.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "synth/placer_quadratic.h"
@@ -72,6 +73,15 @@ FloorplanStageResult run_floorplan_stage(const netlist::Design& design,
                            : design.library().row_height_m() / 9.0;
 
   art.fp = make_floorplan(regions, fopts);
+  // Refused here, before placement: a utilization near 0 grows the die,
+  // and with it the routing grid, without limit.
+  std::string too_big =
+      route_grid_limit_error(art.fp.die, default_route_pitch(art.flat));
+  if (!too_big.empty()) {
+    diags.push_back(FlowDiagnostic{"floorplan", "die", std::move(too_big)});
+    span.note("die too large to route");
+    return FloorplanStageResult{};
+  }
   art.floorplan_spec = write_floorplan_spec(art.fp);
   span.note(std::to_string(art.flat.size()) + " cells, " +
             std::to_string(art.fp.regions.size()) + " regions");

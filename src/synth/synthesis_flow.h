@@ -114,8 +114,9 @@ struct FloorplanStageResult {
   std::shared_ptr<const void> owner;
 };
 
-/// Validates + flattens + partitions + floorplans. On validation failure
-/// appends diagnostics and returns an empty artifact (flat empty).
+/// Validates + flattens + partitions + floorplans. On validation failure,
+/// or when the die's routing grid would exceed kMaxRouteGridNodes, appends
+/// diagnostics and returns an empty artifact (flat empty).
 FloorplanStageResult run_floorplan_stage(const netlist::Design& design,
                                          const SynthesisOptions& opts,
                                          std::vector<FlowDiagnostic>& diags);

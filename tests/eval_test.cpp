@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 
@@ -419,6 +420,85 @@ TEST(EvalTest, InvalidSpecFailsWithRequestLocalDiagnostics) {
     if (d.severity == util::Severity::kError) found_error = true;
   }
   EXPECT_TRUE(found_error);
+}
+
+// A JSON request can shrink the placement density (or stretch the aspect
+// ratio) until the die's routing grid would be terabytes; the floorplan
+// stage refuses it before placement, naming the grid size, and the router
+// never builds it.
+TEST(EvalTest, OversizedRoutingGridIsRefusedAtTheFloorplan) {
+  const char* texts[] = {
+      "{\"cmd\": \"synthesize\", \"spec\": {\"slices\": 8},"
+      " \"options\": {\"target_utilization\": 1e-9}}",
+      "{\"cmd\": \"synthesize\", \"spec\": {\"slices\": 8},"
+      " \"options\": {\"aspect_ratio\": 1e-12}}",
+  };
+  for (const char* text : texts) {
+    json::ParseResult pr = json::parse(text);
+    ASSERT_TRUE(pr.ok) << pr.error;
+    core::EvalRequest req;
+    std::string err;
+    ASSERT_TRUE(core::eval_request_from_json(pr.value, &req, &err)) << err;
+
+    core::ArtifactCache cache(16);
+    core::ExecContext ctx;
+    ctx.cache = &cache;
+    const core::EvalResponse resp = core::evaluate(req, ctx);
+    EXPECT_FALSE(resp.ok) << text;
+    EXPECT_EQ(resp.synthesis, nullptr);
+    bool named = false;
+    for (const auto& d : resp.diagnostics) {
+      if (d.severity == util::Severity::kError && d.stage == "floorplan" &&
+          d.item == "die" &&
+          d.reason.find("routing grid of ") != std::string::npos &&
+          d.reason.find("exceeds the limit of 4194304") !=
+              std::string::npos) {
+        named = true;
+      }
+    }
+    EXPECT_TRUE(named) << text;
+  }
+
+  // The default density still floorplans: the bound sits far above it.
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kSynthesize;
+  req.spec = small_spec();
+  req.synthesis.detailed_route = false;
+  core::ExecContext ctx;
+  EXPECT_TRUE(core::evaluate(req, ctx).ok);
+}
+
+// A floorplan artifact that arrives from the cache or the store skips the
+// stage's own check; the post-conditions refuse its die just the same.
+TEST(EvalTest, OversizedDieFromTheCacheIsRefusedBeforeRouting) {
+  core::EvalRequest req;
+  req.kind = core::EvalKind::kSynthesize;
+  req.spec = small_spec();
+  core::ArtifactCache cache(16);
+  core::ExecContext ctx;
+  ctx.cache = &cache;
+  const auto good = core::Flow(ctx).floorplan(req.spec, req.synthesis);
+  ASSERT_NE(good, nullptr);
+
+  auto big = std::make_shared<synth::FloorplanStageResult>(*good);
+  big->fp.die.w = 1.0;
+  big->fp.die.h = 1.0;
+  core::ArtifactCache crafted(16);
+  crafted.get_or_build<synth::FloorplanStageResult>(
+      core::floorplan_key(req.spec, req.synthesis),
+      [&] { return std::shared_ptr<const synth::FloorplanStageResult>(big); });
+  ctx.cache = &crafted;
+  const core::EvalResponse resp = core::evaluate(req, ctx);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.synthesis, nullptr);
+  bool named = false;
+  for (const auto& d : resp.diagnostics) {
+    if (d.stage == "floorplan" && d.item == "die" &&
+        d.reason.find("routing grid of ") != std::string::npos) {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named);
 }
 
 TEST(EvalTest, DiagnosticsAreReEmittedIntoTheContextSink) {

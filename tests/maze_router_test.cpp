@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "core/adc_spec.h"
 #include "core/adc.h"
 #include "netlist/cell_library.h"
@@ -180,6 +183,43 @@ TEST(MazeRouter, DisableFlagSkipsRouting) {
   opts.detailed_route = false;
   const auto res = adc.synthesize(opts);
   EXPECT_TRUE(res.detailed_routing.nets.empty());
+}
+
+// Grid dimensions are computed in 64-bit: a die a billion pitches wide
+// counts its nodes without overflow, and building that grid is refused
+// instead of allocating it.
+TEST(MazeRouter, GridNodeCountIsSixtyFourBitAndBounded) {
+  const Rect small{0, 0, 20, 12};
+  EXPECT_EQ(route_grid_nodes(small, 1.0), RouteGrid(small, 1.0).num_nodes());
+  EXPECT_EQ(route_grid_nodes(small, 1.0), 2 * 21 * 13);
+
+  const Rect huge{0, 0, 1.0, 1.0};
+  EXPECT_GT(route_grid_nodes(huge, 1e-9), std::int64_t{1} << 40);
+  EXPECT_THROW(RouteGrid(huge, 1e-9), std::length_error);
+
+  // The bound itself: a 1448 x 1448 grid fits under it, 1449 x 1449 not.
+  const Rect fits{0, 0, 1446.5, 1446.5};
+  EXPECT_EQ(route_grid_nodes(fits, 1.0), 2 * 1448 * 1448);
+  EXPECT_LE(route_grid_nodes(fits, 1.0), kMaxRouteGridNodes);
+  EXPECT_GT(route_grid_nodes({0, 0, 1447.5, 1447.5}, 1.0),
+            kMaxRouteGridNodes);
+  EXPECT_THROW(RouteGrid({0, 0, 1447.5, 1447.5}, 1.0), std::length_error);
+}
+
+// A synthesis whose die would exceed the routing-grid bound fails in the
+// floorplan stage with a diagnostic, before placement.
+TEST(MazeRouter, OversizedDieIsRefusedBeforePlacement) {
+  TinyFixture fx;
+  SynthesisOptions opts;
+  opts.target_utilization = 1e-9;
+  const auto res = synthesize(fx.design, opts);
+  EXPECT_FALSE(res.ok());
+  EXPECT_EQ(res.layout, nullptr);
+  ASSERT_EQ(res.diagnostics.size(), 1u);
+  EXPECT_EQ(res.diagnostics[0].stage, "floorplan");
+  EXPECT_EQ(res.diagnostics[0].item, "die");
+  EXPECT_NE(res.diagnostics[0].reason.find("routing grid of "),
+            std::string::npos);
 }
 
 }  // namespace

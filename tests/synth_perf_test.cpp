@@ -4,6 +4,7 @@
 // router must be bit-identical to the serial one.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <queue>
@@ -318,6 +319,53 @@ TEST(ParallelRoute, BitIdenticalToSerialOnFullAdc) {
           << "net " << a.nets[i].name << " node " << nm;
     }
   }
+}
+
+/// FNV-1a over every routed point's x, y and layer, with the point count
+/// of each segment and the segment count of each net folded in, so a path
+/// that moves, splits, merges or changes layer changes the digest.
+std::string route_digest(const MazeRouteResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(static_cast<std::int64_t>(r.nets.size()));
+  for (const RoutedNet& net : r.nets) {
+    mix(static_cast<std::int64_t>(net.paths.size()));
+    for (const auto& path : net.paths) {
+      mix(static_cast<std::int64_t>(path.size()));
+      for (const GridPoint& p : path) {
+        mix(p.x);
+        mix(p.y);
+        mix(p.layer);
+      }
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// The routed paths of two full syntheses, pinned to the digests of the
+// router as it was with a binary-heap A* open list. The bucket queue that
+// replaced the heap must pop in the same order, so every path, and with it
+// every usage count and rip-up decision, stays bit-identical; a
+// serial-vs-parallel comparison alone could not show that.
+TEST(ParallelRoute, RoutedPathsMatchThePinnedDigests) {
+  core::AdcSpec spec40 = core::AdcSpec::paper_40nm();
+  spec40.num_slices = 48;
+  const auto r40 = core::AdcDesign(spec40).synthesize();
+  EXPECT_EQ(route_digest(r40.detailed_routing), "45cb43f7d8ba3d24");
+  EXPECT_EQ(r40.detailed_routing.nets.size(), 1486u);
+
+  const auto r180 =
+      core::AdcDesign(core::AdcSpec::paper_180nm()).synthesize();
+  EXPECT_EQ(route_digest(r180.detailed_routing), "e08a4c01a57239a5");
+  EXPECT_EQ(r180.detailed_routing.nets.size(), 354u);
 }
 
 // Off-row-grid cells are reported once and excluded from the row-bucket
