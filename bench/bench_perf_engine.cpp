@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks of the library's engines: FFT throughput
 // (complex plan path and the real-input fast path), modulator simulation
 // rate (with and without a reused workspace), the full Monte-Carlo-sample
-// pipeline, netlist flatten, and the synthesis flow. These gate performance
-// regressions in the substrate itself (a 2^16-point Table 3 run must stay
-// interactive).
+// pipeline and its post-modulator analysis tail, netlist flatten, and the
+// synthesis flow. These gate performance regressions in the substrate
+// itself (a 2^16-point Table 3 run must stay interactive).
 //
 // The custom main() additionally emits machine-readable BENCH_JSON summary
 // lines (modulator clocks/sec, real-FFT Msamples/sec, single-MC-sample
@@ -18,6 +18,7 @@
 #include "core/adc.h"
 #include "dsp/fft.h"
 #include "dsp/signal_gen.h"
+#include "dsp/spectrum.h"
 #include "msim/batched_modulator.h"
 #include "msim/modulator.h"
 #include "netlist/generator.h"
@@ -123,6 +124,35 @@ static void BM_McSamplePipeline(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_McSamplePipeline)->Unit(benchmark::kMillisecond);
+
+// The analysis tail of one draw on a fixed capture: what AdcDesign::simulate
+// does after the modulator run (spectrum, SNDR, shaping slope, idle-tone
+// scan, power model), at the paper's record length.
+static void BM_SpectrumAnalysis(benchmark::State& state) {
+  const core::AdcSpec spec = core::AdcSpec::paper_40nm();
+  const core::AdcDesign design(spec);
+  core::SimulationOptions opts;
+  opts.n_samples = static_cast<std::size_t>(state.range(0));
+  const core::RunResult run = design.simulate(opts);
+  const double fs_hz = spec.to_sim_config().fs_hz;
+  const core::PowerTable table = core::make_power_table(design.netlist());
+  for (auto _ : state) {
+    const dsp::Spectrum sp = dsp::compute_spectrum(run.mod.output, fs_hz, 1.0,
+                                                   dsp::WindowKind::kHann);
+    const dsp::SndrReport sndr =
+        dsp::analyze_sndr(sp, spec.bandwidth_hz, run.fin_hz);
+    const dsp::SlopeFit fit =
+        dsp::fit_noise_slope(sp, spec.bandwidth_hz * 1.2, fs_hz / 4.0);
+    const auto tones = dsp::find_idle_tones(sp, sndr, run.fin_hz * 3.0,
+                                            spec.bandwidth_hz, 12.0);
+    const core::PowerBreakdown pb = core::estimate_power(spec, table, run.mod);
+    benchmark::DoNotOptimize(sndr.sndr_db);
+    benchmark::DoNotOptimize(fit.db_per_decade);
+    benchmark::DoNotOptimize(tones.data());
+    benchmark::DoNotOptimize(pb.vco_w);
+  }
+}
+BENCHMARK(BM_SpectrumAnalysis)->Arg(1 << 16)->Unit(benchmark::kMillisecond);
 
 static void BM_NetlistFlatten(benchmark::State& state) {
   core::AdcDesign adc(core::AdcSpec::paper_40nm());

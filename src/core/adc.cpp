@@ -16,8 +16,8 @@ namespace {
 /// slope, idle tones, power, FOM. Shared verbatim by the scalar and the
 /// batched simulation paths so their RunResults cannot drift apart.
 void analyze_run(const AdcSpec& sp, const msim::SimConfig& cfg,
-                 const SimulationOptions& opts,
-                 const netlist::Design& design, RunResult& res) {
+                 const SimulationOptions& opts, const PowerTable& power,
+                 RunResult& res) {
   res.spectrum = dsp::compute_spectrum(res.mod.output, cfg.fs_hz, 1.0,
                                        dsp::WindowKind::kHann);
   res.sndr = dsp::analyze_sndr(res.spectrum, sp.bandwidth_hz, res.fin_hz);
@@ -30,7 +30,7 @@ void analyze_run(const AdcSpec& sp, const msim::SimConfig& cfg,
 
   PowerModelOptions popts;
   popts.wire_cap_f = opts.wire_cap_f;
-  res.power = estimate_power(sp, design, res.mod, popts);
+  res.power = estimate_power(sp, power, res.mod, popts);
   res.fom_fj = util::walden_fom_fj(res.power.total_w(), res.sndr.sndr_db,
                                    sp.bandwidth_hz);
 }
@@ -49,6 +49,7 @@ AdcDesign::AdcDesign(const AdcSpec& spec, const ExecContext& ctx)
   DesignBundle bundle = Flow(ctx_).netlist(spec_);
   lib_ = std::move(bundle.lib);
   design_ = std::move(bundle.design);
+  if (design_ != nullptr) power_table_ = make_power_table(*design_);
 }
 
 RunResult AdcDesign::simulate(const SimulationOptions& opts) const {
@@ -85,7 +86,7 @@ RunResult AdcDesign::simulate(const SimulationOptions& opts,
       res.full_scale_v * util::from_db_amplitude(opts.amplitude_dbfs);
   res.mod = mod.run(dsp::make_sine(res.amplitude_v, res.fin_hz),
                     opts.n_samples, ws);
-  analyze_run(sp, cfg, opts, *design_, res);
+  analyze_run(sp, cfg, opts, power_table_, res);
   return res;
 }
 
@@ -150,7 +151,7 @@ std::vector<RunResult> AdcDesign::simulate_batch(
     // match the scalar path's field-for-field.
     AdcSpec lane_sp = sp;
     lane_sp.seed = eff[sk];
-    analyze_run(lane_sp, cfg, opts, *design_, out[sk]);
+    analyze_run(lane_sp, cfg, opts, power_table_, out[sk]);
   }
   return out;
 }
@@ -223,7 +224,8 @@ std::vector<RunResult> AdcDesign::simulate_batch(
   for (int k = 0; k < W; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
     out[sk].mod = lanes[sk];
-    analyze_run(lane_sp[sk], cfgs[sk], opts_list[sk], *design_, out[sk]);
+    analyze_run(lane_sp[sk], cfgs[sk], opts_list[sk], power_table_,
+                out[sk]);
   }
   return out;
 }
@@ -231,11 +233,32 @@ std::vector<RunResult> AdcDesign::simulate_batch(
 synth::SynthesisResult AdcDesign::synthesize(
     const synth::SynthesisOptions& opts) const {
   // Route stage through the graph; the cached result is cloned so the
-  // caller owns its copy (the historical by-value contract). A rejected
-  // input yields an empty result (null layout) with diagnostics reported
-  // through the context, mirroring synth::synthesize().
-  auto syn = Flow(ctx_).synthesis(spec_, opts);
-  return syn != nullptr ? syn->clone() : synth::SynthesisResult{};
+  // caller owns its copy (the historical by-value contract). The stages
+  // report into a local sink that is then forwarded to the context, so a
+  // refused request also comes back as a result with ok() == false and
+  // the refusing stage's diagnostics, mirroring synth::synthesize().
+  util::DiagSink local;
+  ExecContext sub = ctx_;
+  sub.diag = &local;
+  auto syn = Flow(sub).synthesis(spec_, opts);
+  const std::vector<util::Diagnostic> diags = local.all();
+  for (const util::Diagnostic& d : diags) {
+    // Same rule as the stages: errors always land, warnings only in a sink.
+    if (d.severity == util::Severity::kError || ctx_.diag != nullptr) {
+      emit_diag(ctx_, d);
+    }
+  }
+  if (syn != nullptr) return syn->clone();
+  synth::SynthesisResult refused;
+  for (const util::Diagnostic& d : diags) {
+    if (d.severity == util::Severity::kError) {
+      refused.diagnostics.push_back({d.stage, d.item, d.reason});
+    }
+  }
+  if (refused.diagnostics.empty()) {
+    refused.diagnostics.push_back({"route", "", "synthesis produced no result"});
+  }
+  return refused;
 }
 
 NodeReport AdcDesign::full_report(const SimulationOptions& opts) const {

@@ -146,6 +146,9 @@ class AdcDesign {
   // library, so both are kept alive together.
   std::shared_ptr<const netlist::CellLibrary> lib_;
   std::shared_ptr<const netlist::Design> design_;
+  // The netlist's power-model inputs, built once here so a draw does not
+  // flatten the design again.
+  PowerTable power_table_;
 };
 
 }  // namespace vcoadc::core

@@ -1,5 +1,6 @@
 #include "core/power_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "netlist/generator.h"
@@ -23,8 +24,33 @@ double vdd_domain_activity(const std::string& function) {
 
 }  // namespace
 
-PowerBreakdown estimate_power(const AdcSpec& spec,
-                              const netlist::Design& design,
+PowerTable make_power_table(const netlist::Design& design) {
+  PowerTable table;
+  for (const auto& fi : design.flatten()) {
+    const auto& cell = *fi.cell;
+    PowerLeaf leaf;
+    const std::string& pd = fi.power_domain;
+    if (cell.is_resistor) {
+      leaf.domain = PowerLeaf::Domain::kResistor;
+    } else if (pd == netlist::kPdVctrlp || pd == netlist::kPdVctrln) {
+      leaf.domain = PowerLeaf::Domain::kVco;
+    } else if (pd == netlist::kPdVbuf1 || pd == netlist::kPdVbuf2) {
+      leaf.domain = PowerLeaf::Domain::kBuffer;
+    } else if (pd == netlist::kPdVrefp) {
+      leaf.domain = PowerLeaf::Domain::kDac;
+    } else {
+      leaf.domain = PowerLeaf::Domain::kVdd;
+    }
+    leaf.is_inv = cell.function == "inv";
+    leaf.input_cap_f = cell.input_cap_f;
+    leaf.leakage_w = cell.leakage_w;
+    leaf.vdd_activity = vdd_domain_activity(cell.function);
+    table.push_back(leaf);
+  }
+  return table;
+}
+
+PowerBreakdown estimate_power(const AdcSpec& spec, const PowerTable& table,
                               const msim::ModulatorResult& activity,
                               const PowerModelOptions& opts) {
   const tech::TechNode node = spec.tech_node();
@@ -36,32 +62,37 @@ PowerBreakdown estimate_power(const AdcSpec& spec,
   const double k = opts.switching_overhead;
 
   int buf_cells = 0;
-  for (const auto& fi : design.flatten()) {
-    const auto& cell = *fi.cell;
-    pb.leakage_w += cell.leakage_w;
-    if (cell.is_resistor) continue;
-    const double c = cell.input_cap_f * k;
-    const std::string& pd = fi.power_domain;
-    if (pd == netlist::kPdVctrlp || pd == netlist::kPdVctrln) {
-      // Ring inverters: every output completes one full cycle per VCO
-      // period -> switched energy C * Vctrl^2 per period.
-      pb.vco_w += c * v_ctrl * v_ctrl * f_vco;
-    } else if (pd == netlist::kPdVbuf1 || pd == netlist::kPdVbuf2) {
-      // Buffer inverters switch at the ring rate from the VBUF supply;
-      // their switching is digital, only the bias tail below is analog.
-      pb.buffer_sw_w += c * v_buf * v_buf * f_vco;
-      if (cell.function == "inv") {
-        buf_cells++;  // counted per inverter; bias applied per buf_cell (4)
+  for (const PowerLeaf& leaf : table) {
+    pb.leakage_w += leaf.leakage_w;
+    const double c = leaf.input_cap_f * k;
+    switch (leaf.domain) {
+      case PowerLeaf::Domain::kResistor:
+        break;
+      case PowerLeaf::Domain::kVco:
+        // Ring inverters: every output completes one full cycle per VCO
+        // period -> switched energy C * Vctrl^2 per period.
+        pb.vco_w += c * v_ctrl * v_ctrl * f_vco;
+        break;
+      case PowerLeaf::Domain::kBuffer:
+        // Buffer inverters switch at the ring rate from the VBUF supply;
+        // their switching is digital, only the bias tail below is analog.
+        pb.buffer_sw_w += c * v_buf * v_buf * f_vco;
+        if (leaf.is_inv) {
+          buf_cells++;  // counted per inverter; bias applied per buf_cell (4)
+        }
+        break;
+      case PowerLeaf::Domain::kDac: {
+        // DAC drivers toggle when the slice bit toggles.
+        const double toggles_per_s = activity.bit_toggle_rate /
+                                     std::max(1, spec.num_slices) * spec.fs_hz;
+        pb.dac_drive_w += 0.5 * c * node.vdd * node.vdd * toggles_per_s;
+        break;
       }
-    } else if (pd == netlist::kPdVrefp) {
-      // DAC drivers toggle when the slice bit toggles.
-      const double toggles_per_s = activity.bit_toggle_rate /
-                                   std::max(1, spec.num_slices) * spec.fs_hz;
-      pb.dac_drive_w += 0.5 * c * node.vdd * node.vdd * toggles_per_s;
-    } else {
-      // VDD sampling domain.
-      pb.sampling_w += 0.5 * c * node.vdd * node.vdd *
-                       vdd_domain_activity(cell.function) * spec.fs_hz;
+      case PowerLeaf::Domain::kVdd:
+        // VDD sampling domain.
+        pb.sampling_w += 0.5 * c * node.vdd * node.vdd * leaf.vdd_activity *
+                         spec.fs_hz;
+        break;
     }
   }
   // Fixed bias tail of each buf_cell (4 inverters per cell).

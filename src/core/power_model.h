@@ -13,6 +13,9 @@
 // by the external source and is excluded, per ADC-survey convention.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/adc_spec.h"
 #include "msim/modulator.h"
 #include "netlist/netlist.h"
@@ -55,11 +58,27 @@ struct PowerModelOptions {
   double wire_cap_f = 0.0;
 };
 
+/// What the power model reads of one flat leaf instance.
+struct PowerLeaf {
+  /// Which switching term the leaf feeds, from its power domain.
+  enum class Domain : std::uint8_t { kResistor, kVco, kBuffer, kDac, kVdd };
+  Domain domain = Domain::kVdd;
+  bool is_inv = false;        ///< counts toward the buffer bias tail
+  double input_cap_f = 0;
+  double leakage_w = 0;
+  double vdd_activity = 0;    ///< transitions per clock in the VDD domain
+};
+
+/// The netlist's share of the power model, one entry per leaf in
+/// Design::flatten() order (so the sums keep their order). It depends on
+/// the netlist alone, so a design builds it once and every draw reuses it.
+using PowerTable = std::vector<PowerLeaf>;
+PowerTable make_power_table(const netlist::Design& design);
+
 /// Computes the breakdown for a simulated operating point. `activity` must
 /// come from a run of the behavioral modulator at this spec (it supplies the
 /// mean ring rates, control voltages and DAC toggle rate).
-PowerBreakdown estimate_power(const AdcSpec& spec,
-                              const netlist::Design& design,
+PowerBreakdown estimate_power(const AdcSpec& spec, const PowerTable& table,
                               const msim::ModulatorResult& activity,
                               const PowerModelOptions& opts = {});
 

@@ -1,6 +1,7 @@
 #include "dsp/spectrum.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 
@@ -214,21 +215,33 @@ SlopeFit fit_noise_slope(const Spectrum& spec, double f_lo, double f_hi) {
   // Median-smooth the dB spectrum in log-spaced buckets, then fit a line
   // (dB vs log10 f). Median per bucket suppresses tones.
   constexpr int kBuckets = 24;
-  std::vector<double> xs, ys;
   const double llo = std::log10(std::max(f_lo, spec.bin_hz));
   const double lhi = std::log10(std::max(f_hi, f_lo * 1.01));
+  // Bucket b holds the bins with edge[b] <= log10(f) < edge[b + 1]. An
+  // inverted, empty, infinite or NaN log range leaves every bucket empty.
+  // Otherwise the edges never decrease with b, so a bin falls in at most
+  // one bucket, found from one log10 per bin by binary search.
+  if (!(std::isfinite(llo) && std::isfinite(lhi) && lhi > llo)) return fit;
+  std::array<double, kBuckets + 1> edge;
+  for (int b = 0; b <= kBuckets; ++b) {
+    edge[b] = llo + (lhi - llo) * b / kBuckets;
+  }
+  std::array<std::vector<double>, kBuckets> vals;
+  for (std::size_t i = 1; i < n; ++i) {
+    const double lf = std::log10(spec.freq_hz[i]);
+    if (!(lf >= edge.front() && lf < edge.back())) continue;
+    const auto b = std::upper_bound(edge.begin(), edge.end(), lf) - 1;
+    vals[b - edge.begin()].push_back(spec.dbfs[i]);
+  }
+  // A bucket's median is an order statistic, so it does not depend on how
+  // the values were gathered.
+  std::vector<double> xs, ys;
   for (int b = 0; b < kBuckets; ++b) {
-    const double a = llo + (lhi - llo) * b / kBuckets;
-    const double c = llo + (lhi - llo) * (b + 1) / kBuckets;
-    std::vector<double> vals;
-    for (std::size_t i = 1; i < n; ++i) {
-      const double lf = std::log10(spec.freq_hz[i]);
-      if (lf >= a && lf < c) vals.push_back(spec.dbfs[i]);
-    }
-    if (vals.size() < 3) continue;
-    std::nth_element(vals.begin(), vals.begin() + vals.size() / 2, vals.end());
-    xs.push_back((a + c) / 2);
-    ys.push_back(vals[vals.size() / 2]);
+    std::vector<double>& v = vals[b];
+    if (v.size() < 3) continue;
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    xs.push_back((edge[b] + edge[b + 1]) / 2);
+    ys.push_back(v[v.size() / 2]);
   }
   if (xs.size() < 3) return fit;
 
@@ -275,13 +288,14 @@ std::vector<IdleTone> find_idle_tones(const Spectrum& spec,
 
   // Sliding local median over +/- 32 bins as the floor estimate.
   constexpr int kHalfWin = 32;
+  std::vector<double> local;
+  local.reserve(2 * kHalfWin);
   for (std::size_t i = 1; i < n; ++i) {
     if (spec.freq_hz[i] < f_lo || spec.freq_hz[i] > f_hi) continue;
     if (in_harmonic_window(i)) continue;
     const std::size_t lo = (i > kHalfWin) ? i - kHalfWin : 1;
     const std::size_t hi = std::min(n - 1, i + kHalfWin);
-    std::vector<double> local;
-    local.reserve(hi - lo + 1);
+    local.clear();
     for (std::size_t k = lo; k <= hi; ++k) {
       if (k != i) local.push_back(spec.dbfs[k]);
     }

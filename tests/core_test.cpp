@@ -176,6 +176,34 @@ TEST(AdcDesign, AreaRatioBetweenNodesInPaperBallpark) {
   EXPECT_LT(ratio, 25.0);
 }
 
+TEST(AdcDesign, RefusedSynthesisIsNotOk) {
+  // A die too large for the routing grid is refused at the floorplan. The
+  // returned result must say so itself: a caller that checks ok() before
+  // reading `layout` must not get a null layout with ok() == true.
+  util::DiagSink sink;
+  ExecContext ctx;
+  ctx.diag = &sink;
+  synth::SynthesisOptions opts;
+  opts.target_utilization = 1e-9;
+  const synth::SynthesisResult res =
+      AdcDesign(AdcSpec::paper_40nm(), ctx).synthesize(opts);
+  EXPECT_FALSE(res.ok());
+  EXPECT_EQ(res.layout, nullptr);
+  ASSERT_FALSE(res.diagnostics.empty());
+  EXPECT_EQ(res.diagnostics[0].stage, "floorplan");
+  EXPECT_EQ(res.diagnostics[0].item, "die");
+  // The context's sink still hears about it.
+  EXPECT_TRUE(sink.has_errors());
+
+  // Same through the context-free constructor (errors go to stderr).
+  const synth::SynthesisResult bare =
+      AdcDesign(AdcSpec::paper_40nm()).synthesize(opts);
+  EXPECT_FALSE(bare.ok());
+  EXPECT_EQ(bare.layout, nullptr);
+  ASSERT_FALSE(bare.diagnostics.empty());
+  EXPECT_EQ(bare.diagnostics[0].stage, "floorplan");
+}
+
 TEST(AdcDesign, LowAmplitudeInputHasNoIdleTones) {
   // Fig. 18: 10 mV input, "no idle tones are observed".
   AdcDesign adc(AdcSpec::paper_40nm());
