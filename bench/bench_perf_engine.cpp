@@ -10,9 +10,11 @@
 // milliseconds) for BENCH_*.json tracking.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/adc.h"
@@ -86,15 +88,19 @@ static void BM_ModulatorClockWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_ModulatorClockWorkspace);
 
-// Batched SoA engine at the dispatcher's preferred lane width: items are
+// Batched SoA engine at each kernel lane width (the argument): items are
 // lane-clocks (W Monte-Carlo draws retire per modulator clock).
 static void BM_BatchedModulatorClock(benchmark::State& state) {
   auto spec = core::AdcSpec::paper_40nm();
   msim::SimConfig cfg = spec.to_sim_config();
-  const int w = msim::BatchedModulator::preferred_width();
+  const int w = static_cast<int>(state.range(0));
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(w));
   for (int k = 0; k < w; ++k) seeds[static_cast<std::size_t>(k)] = 100 + k;
   auto batch = msim::BatchedModulator::create(cfg, seeds);
+  if (batch == nullptr) {
+    state.SkipWithError("kernel width not supported");
+    return;
+  }
   const auto base = dsp::make_sine(1.0, 1e6);
   const std::vector<double> scale(static_cast<std::size_t>(w), 0.5);
   msim::BatchedWorkspace ws;
@@ -104,7 +110,7 @@ static void BM_BatchedModulatorClock(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256 * w);
 }
-BENCHMARK(BM_BatchedModulatorClock);
+BENCHMARK(BM_BatchedModulatorClock)->Arg(2)->Arg(4)->Arg(8);
 
 // One full Monte-Carlo sample: modulator run + windowed real FFT + SNDR /
 // slope / idle-tone analysis + power model, with the per-thread workspace a
@@ -179,6 +185,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 // Standalone summary timings (independent of the google-benchmark reporter)
 // so the BENCH_JSON line is emitted even under --benchmark_filter.
 void emit_bench_json_summary(const std::string& json_out) {
@@ -190,63 +202,92 @@ void emit_bench_json_summary(const std::string& json_out) {
   const auto sine = dsp::make_sine(0.5, 1e6);
   msim::SimWorkspace ws;
   constexpr std::size_t kClocksPerRep = 4096;
+  // Clocks/s of one timed window of at least `window_s` seconds.
+  auto time_scalar = [&](double window_s) {
+    std::size_t n_reps = 0;
+    const auto start = std::chrono::steady_clock::now();
+    double secs = 0.0;
+    do {
+      benchmark::DoNotOptimize(mod.run(sine, kClocksPerRep, ws).output.data());
+      ++n_reps;
+      secs = seconds_since(start);
+    } while (secs < window_s);
+    return static_cast<double>(n_reps * kClocksPerRep) / secs;
+  };
   mod.run(sine, kClocksPerRep, ws);  // warm-up
-  std::size_t reps = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    benchmark::DoNotOptimize(mod.run(sine, kClocksPerRep, ws).output.data());
-    ++reps;
-    elapsed = seconds_since(t0);
-  } while (elapsed < 0.5);
-  const double clocks_per_s =
-      static_cast<double>(reps * kClocksPerRep) / elapsed;
+  const double clocks_per_s = time_scalar(0.5);
 
   // Batched SoA engine: same config, lane-clocks/s (clocks x lanes) at each
-  // kernel width; the summary reports the best width. The shape gate only
-  // applies when the active tier has real vector registers (width >= 4
-  // doubles per op, i.e. AVX2+) — on narrower hosts the batch still wins
-  // but the floor is not promised. The gate is 2.5x, below the 4-8x a
-  // pure-SIMD argument would promise: the packed ziggurat and packed
-  // comparator-bit extraction moved most of the once-serial per-lane work
-  // into the lanes, but the rejection tail, metastability draws and result
-  // write-out stay per-lane (measured on the avx512 reference host: W=4
-  // ~2.7-3.0x, W=8 ~2.3-2.6x — 32 zmm registers hold the W=8 state, the
-  // wider rejection tail is what costs it the lead).
+  // kernel width, one timed window each, for the record. The shape gate is
+  // on the width the runtime ships (preferred_width), not the best one, and
+  // on medians: kGateReps alternating scalar/batched windows, gated on the
+  // median of the per-pair ratios — a single window of a noisy ratio made
+  // the gate a coin flip near its bound. The gate only applies when the
+  // active tier has real vector registers (>= 4 doubles per op, i.e.
+  // AVX2+); on narrower hosts the batch still wins but the floor is not
+  // promised. See DESIGN.md section 3i for where the remaining per-lane
+  // serial time goes.
   const util::simd::Tier tier = util::simd::active_tier();
   const int simd_width = util::simd::tier_width(tier);
-  double batched_clocks_per_s = 0.0;
-  int batched_width = 0;
   msim::BatchedWorkspace bws;
   const auto base = dsp::make_sine(1.0, 1e6);
-  for (int w : {2, 4, 8}) {
+  auto make_batch = [&](int w) {
     std::vector<std::uint64_t> seeds(static_cast<std::size_t>(w));
     for (int k = 0; k < w; ++k) seeds[static_cast<std::size_t>(k)] = 100 + k;
-    auto batch = msim::BatchedModulator::create(cfg, seeds);
+    return msim::BatchedModulator::create(cfg, seeds);
+  };
+  // Lane-clocks/s of one timed window of at least `window_s` seconds.
+  auto time_batch = [&](const msim::BatchedModulator& batch, int w,
+                        double window_s) {
+    const std::vector<double> scale(static_cast<std::size_t>(w), 0.5);
+    std::size_t n_reps = 0;
+    const auto start = std::chrono::steady_clock::now();
+    double secs = 0.0;
+    do {
+      benchmark::DoNotOptimize(
+          batch.run(base, scale, kClocksPerRep, bws).front().output.data());
+      ++n_reps;
+      secs = seconds_since(start);
+    } while (secs < window_s);
+    return static_cast<double>(n_reps * kClocksPerRep) * w / secs;
+  };
+  for (int w : {2, 4, 8}) {
+    auto batch = make_batch(w);
     if (batch == nullptr) continue;
     const std::vector<double> scale(static_cast<std::size_t>(w), 0.5);
     batch->run(base, scale, kClocksPerRep, bws);  // warm-up
-    reps = 0;
-    t0 = std::chrono::steady_clock::now();
-    do {
-      benchmark::DoNotOptimize(
-          batch->run(base, scale, kClocksPerRep, bws).front().output.data());
-      ++reps;
-      elapsed = seconds_since(t0);
-    } while (elapsed < 0.5);
-    const double lane_clocks =
-        static_cast<double>(reps * kClocksPerRep) * w / elapsed;
+    const double lane_clocks = time_batch(*batch, w, 0.5);
     std::printf("  batched W=%d: %.0f lane-clocks/s (%.2fx scalar)\n", w,
                 lane_clocks, lane_clocks / clocks_per_s);
-    if (lane_clocks > batched_clocks_per_s) {
-      batched_clocks_per_s = lane_clocks;
-      batched_width = w;
+  }
+
+  constexpr int kGateReps = 5;
+  const int batched_width = msim::BatchedModulator::preferred_width();
+  double batched_clocks_per_s = 0.0;
+  double gate_ratio = 0.0;
+  if (auto batch = make_batch(batched_width)) {
+    std::vector<double> scalar_rate, batched_rate, ratio;
+    for (int r = 0; r < kGateReps; ++r) {
+      scalar_rate.push_back(time_scalar(0.3));
+      batched_rate.push_back(time_batch(*batch, batched_width, 0.3));
+      ratio.push_back(batched_rate.back() / scalar_rate.back());
     }
+    batched_clocks_per_s = median(batched_rate);
+    gate_ratio = median(ratio);
+    std::printf(
+        "  shipped W=%d, median of %d alternating pairs: scalar %.0f "
+        "clocks/s, batched %.0f lane-clocks/s, ratio %.2fx (range "
+        "%.2f-%.2fx)\n",
+        batched_width, kGateReps, median(scalar_rate),
+        batched_clocks_per_s, gate_ratio,
+        *std::min_element(ratio.begin(), ratio.end()),
+        *std::max_element(ratio.begin(), ratio.end()));
   }
   std::printf("  simd: %s\n", util::simd::runtime_summary().c_str());
   if (simd_width >= 4) {
-    bench::shape_check("batched engine >= 2.5x scalar modulator throughput",
-                       batched_clocks_per_s >= 2.5 * clocks_per_s);
+    bench::shape_check(
+        "shipped batched width >= 2.5x scalar modulator throughput (median)",
+        gate_ratio >= 2.5);
   }
 
   // Real-FFT throughput at the spectrum-analysis size (2^16).
@@ -257,8 +298,9 @@ void emit_bench_json_summary(const std::string& json_out) {
   const dsp::RealFftPlan& plan = dsp::RealFftPlan::of(kFftN);
   std::vector<dsp::Complex> bins(plan.out_size());
   plan.forward(x.data(), bins.data());  // warm-up (builds the plan)
-  reps = 0;
-  t0 = std::chrono::steady_clock::now();
+  std::size_t reps = 0;
+  auto t0 = std::chrono::steady_clock::now();
+  double elapsed = 0.0;
   do {
     plan.forward(x.data(), bins.data());
     benchmark::DoNotOptimize(bins.data());

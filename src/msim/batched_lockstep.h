@@ -292,12 +292,18 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
       ph2 = util::simd::select_lt(p2, 0.0, p2 + kTwoPi,
                                   util::simd::select_ge(p2, kTwoPi,
                                                         p2 - kTwoPi, p2));
+#if VCOADC_SIMD_NATIVE
+      const bool wrap_rare =
+          util::simd::any_lane((ph1.v >= kTwoPi) | (ph1.v < 0.0) |
+                               (ph2.v >= kTwoPi) | (ph2.v < 0.0));
+#else
       int wrap_rare = 0;
       for (int w = 0; w < W; ++w) {
         wrap_rare |= (ph1.v[w] >= kTwoPi) | (ph1.v[w] < 0.0) |
                      (ph2.v[w] >= kTwoPi) | (ph2.v[w] < 0.0);
       }
-      if (wrap_rare != 0) [[unlikely]] {
+#endif
+      if (wrap_rare) [[unlikely]] {
         for (int w = 0; w < W; ++w) {
           double p = p1.v[w];
           if (p >= kTwoPi) {
@@ -365,11 +371,7 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
       V wr = util::simd::select_ge(arg, kTwoPi, arg - kTwoPi, arg);
       wr = util::simd::select_ge(wr, kTwoPi, wr - kTwoPi, wr);
       wr = util::simd::select_lt(wr, 0.0, wr + kTwoPi, wr);
-      int rare = 0;
-      for (int w = 0; w < W; ++w) {
-        rare |= (wr.v[w] >= kTwoPi) | (wr.v[w] < 0.0);
-      }
-      if (rare != 0) [[unlikely]] {
+      if (util::simd::any_lane((wr.v >= kTwoPi) | (wr.v < 0.0))) [[unlikely]] {
         for (int w = 0; w < W; ++w) wr.v[w] = wrap_2pi(arg.v[w]);
       }
       // The packed compare yields 0/~0 per lane; masking with 1 leaves the
@@ -384,9 +386,7 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
         V p = util::simd::select_ge(p0, kPi, p0 - kPi, p0);
         p = util::simd::select_ge(p, kPi, p - kPi, p);
         p = util::simd::select_ge(p, kPi, p - kPi, p);
-        int wrap_more = 0;
-        for (int w = 0; w < W; ++w) wrap_more |= (p.v[w] >= kPi);
-        if (wrap_more != 0) [[unlikely]] {
+        if (util::simd::any_lane(p.v >= kPi)) [[unlikely]] {
           for (int w = 0; w < W; ++w) {
             double pw = p0.v[w];
             while (pw >= kPi) pw -= kPi;
@@ -399,17 +399,15 @@ static void run_lockstep(const BatchedSetup& s, BatchedWorkspace& ws) {
         // aperture. Pre-filter with a conservative multiply: any true hit
         // satisfies (pi - p) < window * (2*pi*fe) * (1 + 1e-9), because the
         // divide and multiply round within 2^-52 each, orders of magnitude
-        // inside the 1e-9 margin. Only candidate lanes (mostly none) pay
-        // the exact division, which then decides, bit-for-bit.
+        // inside the 1e-9 margin. One packed test covers all lanes; only
+        // candidate lanes (mostly none) pay the exact division, which then
+        // decides, bit-for-bit.
         const V lhs = kPi - p;
         const V bnd = (kTwoPi * fe) * meta_margin;
-        int cand = 0;
-        for (int w = 0; w < W; ++w) {
-          cand |= (lhs.v[w] < bnd.v[w]) << w;
-        }
-        if (cand != 0) [[unlikely]] {
+        const auto cand = lhs.v < bnd.v;
+        if (util::simd::any_lane(cand)) [[unlikely]] {
           for (int w = 0; w < W; ++w) {
-            if (((cand >> w) & 1) == 0) continue;
+            if (cand[w] == 0) continue;
             const double tte = lhs.v[w] / (kTwoPi * fe.v[w]);
             if (tte < meta_window_data[w]) {
               m[w] = rng.bernoulli_lane(w, 0.5) ? 1ULL : 0ULL;

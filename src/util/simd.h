@@ -126,6 +126,31 @@ template <>
 struct native_u64vec<8> {
   typedef unsigned long long type __attribute__((vector_size(64)));
 };
+
+/// True when any lane of a packed compare result (0 / ~0 per lane, as GCC's
+/// vector `<`, `>=`, ... produce) is set. OR-folds the upper half of the
+/// lanes onto the lower half by lane shuffles until one lane holds the OR
+/// of all W, then reads it: log2(W) packed ORs and one extract, where a
+/// per-lane loop extracts and tests every lane in turn. Pure integer work:
+/// no lane is read as a float, so a NaN lane (whose compares are 0) reads
+/// false exactly as in the per-lane loop. Takes the mask by reference: a
+/// by-value vector parameter draws -Wpsabi in TUs built below its ISA.
+template <class M>
+VCOADC_SIMD_INLINE bool any_lane(const M& m) {
+  constexpr int n = static_cast<int>(sizeof(M) / sizeof(m[0]));
+  if constexpr (n == 8) {
+    const auto h = __builtin_shufflevector(m, m, 0, 1, 2, 3) |
+                   __builtin_shufflevector(m, m, 4, 5, 6, 7);
+    return any_lane(h);
+  } else if constexpr (n == 4) {
+    const auto h = __builtin_shufflevector(m, m, 0, 1) |
+                   __builtin_shufflevector(m, m, 2, 3);
+    return any_lane(h);
+  } else {
+    static_assert(n == 2, "kernel widths are 2, 4 and 8");
+    return (m | __builtin_shufflevector(m, m, 1, 0))[0] != 0;
+  }
+}
 #endif
 
 /// Fixed-width elementwise value type for the lockstep kernels. Each

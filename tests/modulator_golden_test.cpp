@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,6 +46,14 @@ msim::SimConfig golden_config() {
 }
 
 constexpr std::size_t kGoldenSamples = 48;
+/// Long enough that ziggurat rejects, phase-wrap fixups and metastability
+/// candidates land in some lanes of a batch but not in others.
+constexpr std::size_t kLongSamples = 1 << 12;
+/// One seed list per kernel width.
+const std::vector<std::vector<std::uint64_t>> kWidthSeeds = {
+    {42, 7},
+    {42, 7, 1000, 1001},
+    {42, 7, 1000, 1001, 5, 6, 99, 123456789}};
 
 msim::ModulatorResult run_golden(msim::SimWorkspace* ws = nullptr) {
   const msim::SimConfig cfg = golden_config();
@@ -135,12 +145,13 @@ TEST(ModulatorGoldenTest, RecordBitsConsistentWithCounts) {
 msim::ModulatorResult run_scalar_at_seed(
     std::uint64_t seed,
     const msim::VcoDsmModulator::Options& opts = {},
-    msim::SimConfig cfg = golden_config()) {
+    msim::SimConfig cfg = golden_config(),
+    std::size_t n_samples = kGoldenSamples) {
   cfg.seed = seed;
   msim::VcoDsmModulator mod(cfg, opts);
   const dsp::SignalFn sine =
       dsp::make_sine(0.45 * mod.full_scale_diff(), cfg.fs_hz / 64.0);
-  return mod.run(sine, kGoldenSamples);
+  return mod.run(sine, n_samples);
 }
 
 /// Exact equality on every ModulatorResult field (EXPECT_EQ on doubles is
@@ -161,7 +172,8 @@ void expect_bit_identical(const msim::ModulatorResult& got,
 /// seeds[k].
 void check_batch_vs_serial(const std::vector<std::uint64_t>& seeds,
                            const msim::VcoDsmModulator::Options& opts = {},
-                           const msim::SimConfig& cfg = golden_config()) {
+                           const msim::SimConfig& cfg = golden_config(),
+                           std::size_t n_samples = kGoldenSamples) {
   auto batch = msim::BatchedModulator::create(cfg, seeds, opts);
   ASSERT_NE(batch, nullptr) << "width " << seeds.size();
   const dsp::SignalFn base = dsp::make_sine(1.0, cfg.fs_hz / 64.0);
@@ -170,18 +182,17 @@ void check_batch_vs_serial(const std::vector<std::uint64_t>& seeds,
     scale[k] = 0.45 * batch->full_scale_diff(static_cast<int>(k));
   }
   msim::BatchedWorkspace ws;
-  const auto& res = batch->run(base, scale, kGoldenSamples, ws);
+  const auto& res = batch->run(base, scale, n_samples, ws);
   ASSERT_EQ(res.size(), seeds.size());
   for (std::size_t k = 0; k < seeds.size(); ++k) {
     SCOPED_TRACE(::testing::Message() << "lane " << k << " seed " << seeds[k]);
-    expect_bit_identical(res[k], run_scalar_at_seed(seeds[k], opts, cfg));
+    expect_bit_identical(res[k],
+                         run_scalar_at_seed(seeds[k], opts, cfg, n_samples));
   }
 }
 
 TEST(BatchedModulatorTest, LanesBitIdenticalToSerialAtEveryWidth) {
-  check_batch_vs_serial({42, 7});
-  check_batch_vs_serial({42, 7, 1000, 1001});
-  check_batch_vs_serial({42, 7, 1000, 1001, 5, 6, 99, 123456789});
+  for (const auto& seeds : kWidthSeeds) check_batch_vs_serial(seeds);
 }
 
 TEST(BatchedModulatorTest, LaneZeroMatchesPinnedGolden) {
@@ -203,35 +214,38 @@ TEST(BatchedModulatorTest, LaneZeroMatchesPinnedGolden) {
 }
 
 TEST(BatchedModulatorTest, AllCompiledTiersProduceIdenticalBits) {
-  // Which kernel TU runs (scalar / sse2 / avx2) must never change a result
-  // bit — only throughput. Runs the same batch under every tier this build
-  // and CPU can execute and compares element-wise.
+  // Which kernel TU runs (scalar / sse2 / avx2 / avx512) must never change a
+  // result bit — only throughput. Runs the same batch at every kernel width
+  // under every tier this build and CPU can execute and compares
+  // element-wise against the scalar tier.
   const auto max_tier =
       std::min(util::simd::compiled_cap(), util::simd::cpu_tier());
   const msim::SimConfig cfg = golden_config();
-  const std::vector<std::uint64_t> seeds = {42, 7, 1000, 1001};
   const dsp::SignalFn base = dsp::make_sine(1.0, cfg.fs_hz / 64.0);
 
-  std::vector<msim::ModulatorResult> reference;
-  for (int t = 0; t <= static_cast<int>(max_tier); ++t) {
-    util::simd::set_tier_override_for_testing(t);
-    SCOPED_TRACE(::testing::Message()
-                 << "tier "
-                 << util::simd::tier_name(static_cast<util::simd::Tier>(t)));
-    auto batch = msim::BatchedModulator::create(cfg, seeds);
-    ASSERT_NE(batch, nullptr);
-    std::vector<double> scale(seeds.size());
-    for (std::size_t k = 0; k < seeds.size(); ++k) {
-      scale[k] = 0.45 * batch->full_scale_diff(static_cast<int>(k));
-    }
-    msim::BatchedWorkspace ws;
-    const auto& res = batch->run(base, scale, kGoldenSamples, ws);
-    if (t == 0) {
-      reference = res;
-    } else {
+  for (const auto& seeds : kWidthSeeds) {
+    SCOPED_TRACE(::testing::Message() << "width " << seeds.size());
+    std::vector<msim::ModulatorResult> reference;
+    for (int t = 0; t <= static_cast<int>(max_tier); ++t) {
+      util::simd::set_tier_override_for_testing(t);
+      SCOPED_TRACE(::testing::Message()
+                   << "tier "
+                   << util::simd::tier_name(static_cast<util::simd::Tier>(t)));
+      auto batch = msim::BatchedModulator::create(cfg, seeds);
+      ASSERT_NE(batch, nullptr);
+      std::vector<double> scale(seeds.size());
       for (std::size_t k = 0; k < seeds.size(); ++k) {
-        SCOPED_TRACE(::testing::Message() << "lane " << k);
-        expect_bit_identical(res[k], reference[k]);
+        scale[k] = 0.45 * batch->full_scale_diff(static_cast<int>(k));
+      }
+      msim::BatchedWorkspace ws;
+      const auto& res = batch->run(base, scale, kLongSamples, ws);
+      if (t == 0) {
+        reference = res;
+      } else {
+        for (std::size_t k = 0; k < seeds.size(); ++k) {
+          SCOPED_TRACE(::testing::Message() << "lane " << k);
+          expect_bit_identical(res[k], reference[k]);
+        }
       }
     }
   }
@@ -252,8 +266,52 @@ TEST(BatchedModulatorTest, RippleAndMetastabilityMatchSerial) {
   cfg.vref_ripple_amp_v = 0.01;
   cfg.vref_ripple_freq_hz = 60e6;
   cfg.comparator_meta_window_s = 5e-12;
-  check_batch_vs_serial({42, 7, 1000, 1001}, {}, cfg);
+  for (const auto& seeds : kWidthSeeds) {
+    check_batch_vs_serial(seeds, {}, cfg, kLongSamples);
+  }
 }
+
+#if VCOADC_SIMD_NATIVE
+// any_lane must agree with a per-lane OR on every lane pattern, for the
+// double-compare masks the kernel's wrap and metastability tests produce
+// and the integer-compare mask of the ziggurat reject test.
+template <int W>
+void check_any_lane_patterns() {
+  using DV = typename util::simd::native_vec<W>::type;
+  using UV = typename util::simd::native_u64vec<W>::type;
+  for (unsigned bits = 0; bits < (1u << W); ++bits) {
+    SCOPED_TRACE(::testing::Message() << "W " << W << " pattern " << bits);
+    DV x;
+    UV u;
+    for (int w = 0; w < W; ++w) {
+      const bool on = ((bits >> w) & 1u) != 0;
+      x[w] = on ? 7.0 : 1.0;
+      u[w] = on ? 300u : 3u;
+    }
+    const bool want = bits != 0;
+    EXPECT_EQ(util::simd::any_lane(x >= 2.0 * std::numbers::pi), want);
+    EXPECT_EQ(util::simd::any_lane((x < 0.0) | (x > 5.0)), want);
+    EXPECT_EQ(util::simd::any_lane(u >= 256u), want);
+    EXPECT_FALSE(util::simd::any_lane(x < 0.0));
+  }
+  // A NaN lane compares false under every ordered compare, so it alone
+  // never reads as set — in every lane position.
+  for (int nan_lane = 0; nan_lane < W; ++nan_lane) {
+    DV x;
+    for (int w = 0; w < W; ++w) x[w] = 1.0;
+    x[nan_lane] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(util::simd::any_lane((x >= 2.0) | (x < 0.0)))
+        << "W " << W << " NaN lane " << nan_lane;
+    EXPECT_TRUE(util::simd::any_lane(x != x));
+  }
+}
+
+TEST(SimdAnyLaneTest, MatchesPerLaneOrOnEveryPattern) {
+  check_any_lane_patterns<2>();
+  check_any_lane_patterns<4>();
+  check_any_lane_patterns<8>();
+}
+#endif
 
 TEST(BatchedModulatorTest, CurrentSteeringDacFallsBackToScalar) {
   msim::VcoDsmModulator::Options opts;
